@@ -49,80 +49,39 @@ def apply_adc(outputs: np.ndarray, config: ADCConfig,
               full_scale: float | np.ndarray,
               rng: np.random.Generator | None = None,
               gain: np.ndarray | None = None,
-              offset: np.ndarray | None = None,
-              out: np.ndarray | None = None,
-              work: tuple[np.ndarray, np.ndarray] | None = None,
-              validate: bool = True) -> np.ndarray:
+              offset: np.ndarray | None = None) -> np.ndarray:
     """Convert ideal analog column outputs to the values actually sensed.
 
     ``full_scale`` is the hardware's fixed sensing range in the same
     units as ``outputs`` (callers derive it from the tile geometry and
     the per-sample DAC scale, not from the batch, because a real ADC
-    cannot adapt per input).  It may be a scalar, or — for stacked
-    ``(tiles, batch, cols)`` outputs — an array broadcastable against
-    ``outputs`` (one range per tile and sample).  When ``outputs`` is
-    stacked, pass pre-drawn stacked ``gain``/``offset`` mismatch instead
-    of ``rng`` (a single draw cannot cover all tiles).
+    cannot adapt per input).  It may be a scalar or an array
+    broadcastable against ``outputs`` (one range per sample).
 
-    ``out`` receives the result without allocating and **may alias**
-    ``outputs`` (the chain is written front to back); ``work`` supplies
-    two same-shape scratch buffers for the INL bow.  The per-element
-    operation order is identical with or without the buffers.
-    ``validate=False`` skips the per-call ``full_scale`` positivity
-    check for callers that guarantee it by construction (the batched
-    engine floors its per-sample scales and validates the geometry
-    factor once).
+    This is the per-tile reference the ``loop`` backend runs; the
+    batched kernel (``engine._VmmPlan``) runs the same per-element
+    arithmetic over stacked tiles.
     """
     y = np.asarray(outputs, dtype=np.float64)
-    if validate and not np.all(np.asarray(full_scale) > 0):
+    if not np.all(np.asarray(full_scale) > 0):
         raise ValueError("full_scale must be positive")
 
     if gain is None and config.gain_std > 0 and rng is not None:
         gain = 1.0 + rng.standard_normal(y.shape[-1]) * config.gain_std
     if offset is None and config.offset_std > 0 and rng is not None:
         offset = rng.standard_normal(y.shape[-1]) * config.offset_std * full_scale
-
-    if out is not None:
-        if out is not y:
-            np.copyto(out, y)
-        y = out
-        if gain is not None:
-            y *= gain
-        if offset is not None:
-            y += offset
-    else:
-        if gain is not None:
-            y = y * gain
-        if offset is not None:
-            y = y + offset
+    if gain is not None:
+        y = y * gain
+    if offset is not None:
+        y = y + offset
 
     if config.inl > 0:
         # Smooth odd-order INL bow: zero at 0 and ±full_scale, maximal
         # mid-range — the classic flash/SAR INL signature.
-        if out is not None and work is not None:
-            w1, w2 = work
-            np.divide(y, full_scale, out=w1)
-            # Raw min/max ufuncs skip np.clip's dispatch overhead and
-            # are bitwise-identical to it for finite values.
-            np.maximum(w1, -1.0, out=w1)
-            np.minimum(w1, 1.0, out=w1)             # normalized
-            np.multiply(w1, w1, out=w2)             # normalized ** 2
-            np.subtract(1.0, w2, out=w2)
-            w1 *= config.inl * full_scale           # (inl * fs) * normalized
-            w1 *= w2
-            y += w1
-        elif out is not None:
-            normalized = np.clip(y / full_scale, -1.0, 1.0)
-            y += config.inl * full_scale * normalized * (1.0 - normalized ** 2)
-        else:
-            normalized = np.clip(y / full_scale, -1.0, 1.0)
-            y = y + config.inl * full_scale * normalized * (1.0 - normalized ** 2)
+        normalized = np.clip(y / full_scale, -1.0, 1.0)
+        y = y + config.inl * full_scale * normalized * (1.0 - normalized ** 2)
 
-    if out is not None:
-        np.maximum(y, -full_scale, out=y)  # saturation (== clip)
-        np.minimum(y, full_scale, out=y)
-    else:
-        y = np.clip(y, -full_scale, full_scale)  # saturation
+    y = np.clip(y, -full_scale, full_scale)  # saturation
 
     if config.bits is not None:
         # ``y`` is fresh after the clip, so quantization runs in place

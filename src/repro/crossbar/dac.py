@@ -48,50 +48,32 @@ def apply_dac(inputs: np.ndarray, config: DACConfig,
               rng: np.random.Generator | None = None,
               gain: np.ndarray | None = None,
               offset: np.ndarray | None = None,
-              scale: float | np.ndarray | None = None,
-              active_rows: float | np.ndarray | None = None,
-              out: np.ndarray | None = None,
-              work: np.ndarray | None = None,
-              validate: bool = True) -> np.ndarray:
+              scale: float | np.ndarray | None = None) -> np.ndarray:
     """Convert ideal digital inputs to the voltages actually driven.
 
     ``inputs`` is ``(batch, rows)`` in weight-domain units (assumed
-    pre-scaled so ``|x| <= v_max`` corresponds to full scale), or any
-    stacked layout ``(tiles, batch, rows)`` whose last axis is the row
-    dimension.  ``gain`` and ``offset`` allow callers to freeze per-row
-    mismatch across calls (tile-static mismatch) or to supply per-tile
-    stacked mismatch; otherwise fresh mismatch is drawn per call when a
-    generator is supplied.
+    pre-scaled so ``|x| <= v_max`` corresponds to full scale).  ``gain``
+    and ``offset`` allow callers to freeze per-row mismatch across calls
+    (tile-static mismatch); otherwise fresh mismatch is drawn per call
+    when a generator is supplied.
 
     ``scale`` overrides the full-scale normalization (a scalar, or an
-    array broadcastable against ``inputs`` — e.g. per-(tile, sample)
-    scales for a stacked pass; default: the **per-sample** input
-    magnitude, ``max(|x|)`` over the last axis only).  Each batch row is
-    normalized independently, so a row's delivered voltages never depend
-    on what else shares the batch.  ``active_rows`` is the number of
-    *real* rows per slice for the shared-driver demand average —
-    required for zero-padded stacked inputs, where a plain mean over the
-    padded axis would understate the demand.
+    array broadcastable against ``inputs``; default: the **per-sample**
+    input magnitude, ``max(|x|)`` over the last axis only).  Each batch
+    row is normalized independently, so a row's delivered voltages never
+    depend on what else shares the batch.
 
-    ``out`` (same shape as ``inputs``, must not alias it) receives the
-    result without allocating; ``work`` is an optional same-shape
-    scratch for the R_Load demand pass.  The per-element operation
-    order is identical with or without the buffers.  ``validate=False``
-    skips the per-call ``active_rows`` positivity check for callers
-    that guarantee it by construction (the batched engine validates its
-    tile geometry once at plan build).
+    This is the per-tile reference the ``loop`` backend runs; the
+    batched kernel (``engine._VmmPlan``) runs the same per-element
+    arithmetic over stacked tiles.
     """
     x = np.asarray(inputs, dtype=np.float64)
     assert config.v_max > 0  # DACConfig.__post_init__ invariant
     if scale is None:
         scale = np.maximum(np.abs(x).max(axis=-1, keepdims=True), 1e-12)
-    # ``v`` is a caller scratch or a fresh array from here on, so the
-    # arithmetic below runs in place (one temporary for the whole
-    # chain) while keeping the exact per-element operation order.
-    if out is not None:
-        v = np.divide(x, scale, out=out)
-    else:
-        v = x / scale
+    # ``v`` is fresh from here on, so the arithmetic below runs in place
+    # (one temporary for the whole chain).
+    v = x / scale
     v *= config.v_max
 
     if config.bits is not None:
@@ -116,16 +98,7 @@ def apply_dac(inputs: np.ndarray, config: DACConfig,
         # Shared-driver sag: the more total drive the array demands, the
         # lower every delivered voltage (R_Load forms a divider with the
         # array's input impedance).
-        # swd-ok: SWD004 -- writing into ``work`` is the scratch param's contract
-        av = np.abs(v, out=work) if work is not None else np.abs(v)
-        if active_rows is None:
-            demand = av.mean(axis=-1, keepdims=True)
-        else:
-            # Each slice carries at least one real row by construction.
-            if validate:
-                assert np.all(np.asarray(active_rows) > 0)
-            demand = av.sum(axis=-1, keepdims=True)
-            demand /= active_rows
+        demand = np.abs(v).mean(axis=-1, keepdims=True)
         demand /= config.v_max
         demand *= config.r_load
         demand += 1.0

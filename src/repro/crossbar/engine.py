@@ -5,10 +5,12 @@ historical implementation looped over tiles in Python and re-ran the
 DAC → conductance → ADC chain once per tile per call.  This module
 inverts that data layout (the RxNN / DNN+NeuroSim approach): a
 :class:`TileEngine` pre-stacks the bank's per-tile effective
-conductances, SRAM masks, and geometry into contiguous ``(tiles, size,
+conductances, SRAM masks, and geometry into zero-padded ``(tiles, size,
 size)`` arrays and executes the whole bank as one vectorized pass —
 batched DAC, read noise, IR droop, sneak leakage, and ADC across all
-tiles at once — without changing the modeled physics.
+tiles at once — without changing the modeled physics.  A per-bank plan
+(:class:`_VmmPlan`) runs only the stages the design point enables, and
+the weight-sized ones only over the tiles' true extents.
 
 Two backends are registered:
 
@@ -42,16 +44,12 @@ the tile evaluation order can change which noise a tile sees.
 from __future__ import annotations
 
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
 from ..observability import get_metrics, trace_span, tracing_enabled
-from .adc import apply_adc
-from .dac import apply_dac
-from .wires import dynamic_droop, sneak_leakage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .crossbar import CrossbarBank
@@ -71,6 +69,7 @@ __all__ = [
     "resolve_backend",
     "spawn_generators",
     "tile_grid",
+    "true_extents",
 ]
 
 ENV_BACKEND = "SWORDFISH_VMM_BACKEND"
@@ -83,10 +82,6 @@ DEFAULT_BACKEND = "batched"
 # bitwise-identical whether it arrives alone or stacked with other rows
 # (see tests/test_batch_invariance.py for the platform probe).
 _MIN_KERNEL_BATCH = 2
-
-# Reusable no-op context for untraced hot paths (one ``tracing_enabled``
-# check per VMM instead of one per stage span).
-_NULL = nullcontext()
 
 
 # ----------------------------------------------------------------------
@@ -115,6 +110,35 @@ def iter_tile_blocks(shape: tuple[int, int], size: int
         for j in range(grid_cols):
             col_slice = slice(j * size, min((j + 1) * size, cols))
             yield i, j, row_slice, col_slice
+
+
+#: Column block of the platform's dgemm micro-kernel (OpenBLAS x86-64
+#: runs columns in blocks of 8; a narrower tail block takes a kernel
+#: whose accumulation over rows differs).
+_GEMM_COLUMN_BLOCK = 8
+
+
+def true_extents(shape: tuple[int, int], size: int) -> tuple[int, int]:
+    """Row/column extents of a bank's weight-sized VMM work.
+
+    A matrix that fits one column block needs only its own columns,
+    rounded up to the gemm column block (at most ``size``); otherwise
+    ``size``.  Rows likewise need only the matrix's own rows (at least
+    2) when it fits one row block, but only while the columns fill whole
+    gemm blocks.  Within those bounds a gemm over the extents equals the
+    true block of the zero-padded gemm bit for bit (see
+    ``tests/test_batch_invariance.py::TestBlasPlatformProbe``).
+    """
+    rows, cols = shape
+    grid_rows, grid_cols = tile_grid(shape, size)
+    block = _GEMM_COLUMN_BLOCK
+    if grid_cols == 1:
+        cols = min(size, -(-cols // block) * block)
+    else:
+        cols = size
+    if grid_rows > 1 or cols % block:
+        rows = size
+    return max(rows, 2), cols
 
 
 # ----------------------------------------------------------------------
@@ -232,14 +256,17 @@ def backend_cache_salt(preference: str | None = None) -> str:
 
 @dataclass
 class TileStacks:
-    """Contiguous ``(tiles, size, size)`` mirrors of a bank's tiles.
+    """Zero-padded ``(tiles, size, size)`` mirrors of a bank's tiles.
 
     ``effective``/``ideal``/``sram`` are zero-padded copies of the
-    per-tile arrays; ``analog`` and ``digital`` are the derived operands
-    the batched VMM actually consumes (SRAM-resident cells contribute
-    digitally, everything else through the analog array).  Padded cells
-    are zero in every operand, so they can never contribute to an
-    output column.
+    per-tile arrays; ``analog`` and ``digital`` are the derived VMM
+    operands (SRAM-resident cells contribute digitally, everything else
+    through the analog array).  Padded cells are zero in every operand,
+    so they can never contribute to an output column.  Whole-matrix
+    assembly, RSA placement and the surrogate read the padded layout;
+    the fused kernel reads ``analog``/``digital`` through views over the
+    tiles' true extents (:class:`_VmmPlan`), which stay current because
+    every sync rewrites the stacks in place.
     """
 
     effective: np.ndarray      # (T, S, S) float64, zero-padded
@@ -277,11 +304,15 @@ class _RngPlan:
     never on the batch, which is what keeps served results independent
     of batch composition.
 
-    Stage buffers are padded to ``(tiles, size[, size])`` with neutral
-    values (1 for gains, 0 for offsets/jitter); scatters only touch the
-    true cells, so padding stays neutral across reuse.
-    ``adc_offset_raw`` holds ``draw * offset_std`` — the per-sample ADC
-    full scale multiplies in at execution time.
+    Per-row and per-column stage buffers are ``(tiles, size)`` with
+    neutral padding (1 for gains, 0 for offsets); scatters only touch
+    the true rows/columns, so padding stays neutral across reuse.
+    ``jitter`` holds the read-noise draws of each tile's true cells.
+    When every tile shares one shape it is a ``(tiles, rows, cols)``
+    view of the draw buffer itself, so the draw fills it and nothing is
+    copied.  Otherwise it is a zero-padded ``(tiles, size, size)``
+    scatter target.  ``adc_offset_raw`` holds ``draw * offset_std`` —
+    the per-sample ADC full scale multiplies in at execution time.
     """
 
     def __init__(self, engine: "TileEngine"):
@@ -318,10 +349,22 @@ class _RngPlan:
         self.active = self.total > 0
         self.draws = np.empty(self.total)
 
+        # Per-bank uniform geometry (every tile shares one (rows, cols)
+        # shape — true for full S×S grids *and* for single-block-row
+        # banks such as an LSTM's (hidden, 4*hidden) weights): every
+        # per-tile draw block has the same stride, so each stage is a
+        # strided *view* of the flat draw buffer — no gather/scatter
+        # indices at all, and the jitter stage is the draws themselves.
+        rows0 = int(rows[0]) if count else 0
+        cols0 = int(cols[0]) if count else 0
+        self.uniform = bool(count > 0 and np.all(rows == rows0)
+                            and np.all(cols == cols0))
+
         self.dac_gain = np.ones((count, size)) if dac.gain_std > 0 else None
         self.dac_offset = np.zeros((count, size)) if dac.offset_std > 0 else None
         self.jitter = (np.zeros((count, size, size))
-                       if config.device.read_noise > 0 else None)
+                       if config.device.read_noise > 0 and not self.uniform
+                       else None)
         self.adc_gain = np.ones((count, size)) if adc.gain_std > 0 else None
         self.adc_offset_raw = (np.zeros((count, size))
                                if adc.offset_std > 0 else None)
@@ -329,21 +372,8 @@ class _RngPlan:
                 "jitter": self.jitter, "adc_gain": self.adc_gain,
                 "adc_offset": self.adc_offset_raw}
 
-        # Per-bank uniform geometry (every tile shares one (rows, cols)
-        # shape — true for full S×S grids *and* for single-block-row
-        # banks such as an LSTM's (hidden, 4*hidden) weights): every
-        # per-tile draw block has the same stride, so each stage is a
-        # strided *view* of the flat draw buffer — no gather/scatter
-        # indices at all.  A full S×S jitter stage aliases the draws
-        # with zero copies; a partial block lands with one strided copy.
-        rows0 = int(rows[0]) if count else 0
-        cols0 = int(cols[0]) if count else 0
-        self.uniform = bool(count > 0 and np.all(rows == rows0)
-                            and np.all(cols == cols0))
         self.view_stages: list[tuple[np.ndarray, np.ndarray,
                                      tuple[float, ...], float | None]] = []
-        self.jitter_src: np.ndarray | None = None
-        self.jitter_dst: np.ndarray | None = None
         if self.uniform and self.active:
             stride = int(counts[0])
             mat = self.draws.reshape(count, stride)
@@ -354,16 +384,10 @@ class _RngPlan:
                 view = mat[:, col:col + n]
                 col += n
                 if name == "jitter":
-                    jview = view.reshape(count, rows0, cols0)
-                    if not np.shares_memory(jview, self.draws):
-                        # pragma: no cover - reshape copied
-                        self.uniform = False
-                        break
-                    if rows0 == size and cols0 == size:
-                        self.jitter = jview
-                    else:
-                        self.jitter_src = jview
-                        self.jitter_dst = self.jitter[:, :rows0, :cols0]
+                    # Row-major cells, as the loop backend's
+                    # ``standard_normal((rows, cols))`` fill.
+                    self.jitter = view.reshape(count, rows0, cols0)
+                    assert np.may_share_memory(self.jitter, self.draws)
                 else:
                     self.view_stages.append((view, bufs[name][:, :n],
                                              mults, add))
@@ -424,8 +448,6 @@ class _RngPlan:
                     dst *= mult
                 if add is not None:
                     dst += add
-            if self.jitter_src is not None:
-                np.copyto(self.jitter_dst, self.jitter_src)
             return
         for t, tile in enumerate(tiles):
             n = counts[t]
@@ -440,42 +462,353 @@ class _RngPlan:
             flat[dst] = vals
 
 
-@dataclass
-class _Workspace:
-    """Preallocated scratch for one fused batched pass at one batch size.
+class _VmmPlan:
+    """The stage list of one bank's fused pass, and the extents it runs over.
 
-    Buffers live as long as the engine (bounded LRU per batch size); a
-    workspace is private to a single VMM call — results are copied out
-    before return, so nothing the caller holds aliases these arrays.
-    ``x_padded`` is zero-initialized and only its true rows/columns are
-    ever rewritten, so the padding invariant survives reuse.
+    Built once per engine from its :class:`CrossbarConfig` and tile
+    geometry, and refreshed by ``sync_sram`` / ``sync_effective``.
+    :func:`_execute_batched` runs :attr:`stages` and nothing else, so a
+    design point pays only for the non-idealities it switches on.  A
+    stage or pass is left out only where it is an exact IEEE identity
+    for finite values:
+
+    * the DAC's ``× v_max`` / ``÷ v_max`` pairs when ``v_max == 1``;
+    * IR droop when ``segment_ohm == 0`` (its factor is
+      ``1 / (1 + 0·|load|) = 1``), sneak coupling when it is 0, read
+      jitter when ``read_noise == 0``, the SRAM product when no cell is
+      SRAM-resident, and each mismatch whose std is 0;
+    * for a bank that fits one row block: the per-tile input gather
+      (every tile reads the same block, so a broadcast view replaces the
+      copy) and the row-block partial sum.  A one-term numpy sum is
+      ``+0.0 + y``, so the output copy adds ``0.0``, which keeps the
+      sum's ``-0.0 → +0.0``.
+
+    The ragged-edge sneak correction is plan data: one basic index over
+    the last tile column, not a per-call ``np.nonzero`` loop.
+
+    Weight-sized work (jitter, the conductance multiply, the analog and
+    SRAM matmuls) runs over the tiles' *true extents*
+    (:func:`true_extents`): the matrix's rows when it fits one row
+    block, else ``size``; likewise for columns, rounded up to the gemm's
+    8-column block.  Zero padding only adds exact zeros to each dot
+    product, so the true block of the padded gemm equals the gemm over
+    the extents bit for bit.  Extents are never below 2: numpy hands a
+    one-column operand to gemv, whose summation order differs.  Wire
+    and ADC stages run over the extent's columns too.  The DAC keeps the
+    padded width: its ``r_load`` demand is a pairwise sum whose
+    association depends on the length (numpy adds fewer than 8 terms in
+    sequence and 8 or more in eight lanes).  A ragged single-block bank
+    with sneak coupling whose extent ends at its last true column keeps
+    one zero column beyond it, which the neighbour sum reads exactly as
+    it read the padding.
     """
 
-    x_padded: np.ndarray   # (B, grid_rows*S) — padding stays zero
-    xabs: np.ndarray       # (B, grid_rows*S) |x| scratch for the scale
-    xt: np.ndarray         # (T, B, S) gathered per-tile input blocks
-    v: np.ndarray          # (T, B, S) DAC output / ADC INL scratch
-    y: np.ndarray          # (T, B, S) accumulator / DAC demand scratch
-    lf: np.ndarray         # (T, B, S) droop factor / INL + SRAM scratch
-    leak: np.ndarray       # (T, B, S) sneak / ADC-offset scratch
-    scale_bg: np.ndarray   # (B, grid_rows) per-(sample, row-block) max |x|
-    scale_t: np.ndarray    # (T, B) per-(tile, sample) DAC scale gather
-    wc: np.ndarray         # (T, B, 1) worst-case output magnitude
-    fs: np.ndarray         # (T, B, 1) ADC full scale
-    sum_gc: np.ndarray     # (grid_cols, B, S) partial-sum accumulator
-    out_full: np.ndarray   # (B, grid_cols*S) assembled padded output
+    def __init__(self, engine: "TileEngine"):
+        st = engine.stacks()
+        config = engine.config
+        dac, adc, wire = config.dac, config.adc, config.wire
+        size = config.size
+        grid_rows, grid_cols = engine.grid
+        rows_total, cols_total = engine.bank.shape
+        self.tiles = engine.tiles
+        self.count = engine.num_tiles
+        self.size = size
+        self.grid = engine.grid
+        self.bank_rows = rows_total
+        self.bank_cols = cols_total
+        self.rows, self.cols = true_extents(engine.bank.shape, size)
+        self.coupling = wire.sneak_coupling
+        self.half_coupling = self.coupling * 0.5
+        self.width = self.cols
+        if self.coupling > 0 and self.cols == cols_total < size:
+            self.width += 1     # the zero column the neighbour sum reads
+        last = cols_total - (grid_cols - 1) * size    # last tile column's cols
+        self.edge = ((slice(grid_cols - 1, None, grid_cols), slice(None),
+                      last - 1)
+                     if self.coupling > 0 and last < size else None)
+        self.row_block = st.row_block if grid_rows > 1 else None
+
+        rng = self.rng = _RngPlan(engine)
+        self.dac_gain = rng.dac_gain_b
+        self.dac_offset = rng.dac_offset_b
+        # One row block and no per-tile DAC mismatch: every tile drives
+        # the same voltages, so the DAC runs once and the matmul
+        # broadcasts them over the tiles.
+        self.dac_tiles = (1 if grid_rows == 1 and self.dac_gain is None
+                          and self.dac_offset is None else self.count)
+        self.adc_gain = (rng.adc_gain_b[..., :self.cols]
+                         if rng.adc_gain_b is not None else None)
+        self.adc_offset = (rng.adc_offset_raw_b[..., :self.cols]
+                           if rng.adc_offset_raw_b is not None else None)
+        self.digital = st.digital[:, :self.rows, :self.cols]
+        self.operand = st.analog[:, :self.rows, :self.cols]
+        self.jitter = None
+        if rng.jitter is not None:
+            # Uniform banks draw exactly their true cells; padded jitter
+            # is cut to the extents.  Extent cells past the drawn ones
+            # are padding and stay zero in the jittered operand.
+            self.jitter = rng.jitter[:, :self.rows, :self.cols]
+            rows_j, cols_j = self.jitter.shape[1:]
+            self.read_noise = config.device.read_noise
+            self.operand = np.zeros((self.count, self.rows, self.cols))
+            self.jittered = self.operand[:, :rows_j, :cols_j]
+            self.analog_cells = st.analog[:, :rows_j, :cols_j]
+
+        # Geometry factors of the worst-case output, the ADC full scale
+        # and the droop; the per-sample scale multiplies in per call.
+        # Positivity holds by construction (rows >= 1, w_max floored at
+        # 1e-9, headroom > 0), so no per-call validation is needed.
+        rows3 = st.rows[:, None, None]
+        self.dac_rows = rows3[:self.dac_tiles]
+        self.wc_base = (st.rows * st.w_max)[:, None, None]
+        self.fs_base = (adc.range_headroom * np.sqrt(st.rows)
+                        * st.w_max)[:, None, None]
+        assert np.all(self.wc_base > 0) and np.all(self.fs_base > 0)
+        self.kappa = (rows3 * wire.segment_ohm * config.device.g_max
+                      if wire.segment_ohm > 0 else None)
+        # swd-ok: SWD005 -- exact compare: only v_max == 1 is an identity
+        self.v_max = dac.v_max if dac.v_max != 1.0 else None
+        self.r_load = dac.r_load
+        self.inl = adc.inl
+        self.dac_levels = (2 ** (dac.bits - 1) - 1
+                           if dac.bits is not None else None)
+        self.adc_levels = (2 ** (adc.bits - 1) - 1
+                           if adc.bits is not None else None)
+        self.refresh(st)
+
+    def refresh(self, st: TileStacks) -> None:
+        """Rebuild the stage list (SRAM residency may have changed)."""
+        self.sram = st.has_sram
+        stages = []
+        if self.rng.active:
+            stages.append(("vmm.rng", self._draw))
+        stages.append(("vmm.dac", self._dac))
+        if self.jitter is not None:
+            stages.append(("vmm.conductance", self._conductance))
+        stages.append(("vmm.matmul", self._matmul))
+        if self.kappa is not None or self.coupling > 0:
+            stages.append(("vmm.wires", self._wires))
+        stages.append(("vmm.adc", self._adc))
+        stages.append(("vmm.digital", self._digital))
+        self.stages: list[tuple[str, Callable[[_Workspace], None]]] = stages
+
+    # ------------------------------------------------------------------
+    # Per-call steps (each mirrors the loop backend's per-tile order)
+    # ------------------------------------------------------------------
+    def load(self, ws: "_Workspace", x: np.ndarray) -> None:
+        """Pad the inputs into ``ws`` and take the per-sample DAC scale."""
+        true_batch = x.shape[0]
+        ws.x_padded[:true_batch, :self.bank_rows] = x
+        if true_batch < ws.true_batch:   # rows a larger call left behind
+            ws.x_padded[true_batch:ws.true_batch] = 0.0
+        ws.true_batch = true_batch
+        # Padding is |0| = 0, so it never wins the per-(sample,
+        # row-block) max; all-zero rows floor at 1e-12.
+        np.abs(ws.x_padded, out=ws.xabs)
+        np.maximum.reduce(ws.xabs_blocks, axis=2, out=ws.scale_bg)
+        np.maximum(ws.scale_bg, 1e-12, out=ws.scale_bg)
+        if self.row_block is not None:
+            np.take(ws.x_blocks, self.row_block, axis=0, out=ws.xt)
+            np.take(ws.scale_bg.T, self.row_block, axis=0, out=ws.scale_t)
+
+    def _draw(self, ws: "_Workspace") -> None:
+        self.rng.fill(self.tiles)
+
+    def _dac(self, ws: "_Workspace") -> None:
+        """Quantization, per-row mismatch and driver sag, as ``apply_dac``."""
+        scale = ws.scale
+        v_max = self.v_max
+        v = np.divide(ws.xt, scale, out=ws.v)
+        if v_max:
+            v *= v_max
+        levels = self.dac_levels
+        if levels:
+            if v_max:
+                v /= v_max
+            v *= levels
+            np.rint(v, out=v)  # bitwise == np.round at decimals=0
+            v /= levels
+            if v_max:
+                v *= v_max
+        if self.dac_gain is not None:
+            v *= self.dac_gain
+        if self.dac_offset is not None:
+            v += self.dac_offset
+        if self.r_load > 0:
+            # Shared-driver demand: the mean |v| over each tile's true
+            # rows, summed over the padded width (see class docstring).
+            demand = np.add.reduce(np.abs(v, out=ws.dac_work), axis=-1,
+                                   keepdims=True, out=ws.demand)
+            # swd-ok: SWD005 -- every tile holds at least one row
+            demand /= self.dac_rows
+            if v_max:
+                demand /= v_max
+            demand *= self.r_load
+            demand += 1.0
+            # swd-ok: SWD005 -- demand >= 1.0 (non-negative magnitude + 1.0)
+            v /= demand
+        if v_max:
+            v /= v_max
+        v *= scale
+
+    def _conductance(self, ws: "_Workspace") -> None:
+        """Read noise on the programmed conductances, over the true cells."""
+        g = np.multiply(self.jitter, self.read_noise, out=self.jittered)
+        g += 1.0
+        np.multiply(g, self.analog_cells, out=g)
+
+    def _matmul(self, ws: "_Workspace") -> None:
+        np.matmul(ws.v_rows, self.operand, out=ws.y_cols)
+
+    def _wires(self, ws: "_Workspace") -> None:
+        """Input-dependent IR droop, then neighbour sneak coupling."""
+        y = ws.y_cols
+        if self.kappa is not None:
+            worst_case = np.multiply(self.wc_base, ws.scale, out=ws.wc)
+            factor = np.divide(y, worst_case, out=ws.w1)
+            np.abs(factor, out=factor)
+            factor *= self.kappa
+            factor += 1.0
+            np.reciprocal(factor, out=factor)
+            y *= factor
+        if self.coupling > 0:
+            # Edge-replicated neighbour average over ``width`` columns.
+            full, leak = ws.y, ws.leak
+            np.add(full[..., :-2], full[..., 2:], out=leak[..., 1:-1])
+            np.add(full[..., 0], full[..., 1], out=leak[..., 0])
+            np.add(full[..., -2], full[..., -1], out=leak[..., -1])
+            leak *= 0.5
+            leak *= self.coupling
+            if self.edge is not None:
+                # A ragged tile edge-replicates at its true last column,
+                # where the neighbour sum above read a zero column.
+                leak[self.edge] += self.half_coupling * full[self.edge]
+            y += ws.leak_cols
+
+    def _adc(self, ws: "_Workspace") -> None:
+        """Gain/offset, INL, saturation and quantization, as ``apply_adc``."""
+        y = ws.y_cols
+        full_scale = np.multiply(self.fs_base, ws.scale, out=ws.fs)
+        if self.adc_gain is not None:
+            y *= self.adc_gain
+        if self.adc_offset is not None:
+            y += np.multiply(self.adc_offset, full_scale, out=ws.leak_cols)
+        if self.inl > 0:
+            w1, w2 = ws.w1, ws.w2
+            np.divide(y, full_scale, out=w1)
+            np.maximum(w1, -1.0, out=w1)
+            np.minimum(w1, 1.0, out=w1)             # normalized
+            np.multiply(w1, w1, out=w2)             # normalized ** 2
+            np.subtract(1.0, w2, out=w2)
+            w1 *= self.inl * full_scale             # (inl * fs) * normalized
+            w1 *= w2
+            y += w1
+        np.maximum(y, np.negative(full_scale, out=ws.nfs), out=y)
+        np.minimum(y, full_scale, out=y)
+        levels = self.adc_levels
+        if levels:
+            # swd-ok: SWD005 -- full scale > 0 by construction
+            y /= full_scale
+            y *= levels
+            np.rint(y, out=y)
+            y /= levels
+            y *= full_scale
+
+    def _digital(self, ws: "_Workspace") -> None:
+        """SRAM contribution, row-block partial sums, output copy."""
+        y = ws.y_cols
+        if self.sram:
+            y += np.matmul(ws.xt_rows, self.digital, out=ws.w1)
+        true_batch = ws.true_batch
+        grid_rows, grid_cols = self.grid
+        if grid_rows > 1:
+            y = np.add.reduce(
+                ws.y.reshape(grid_rows, grid_cols, ws.batch,
+                             self.width)[..., :self.cols],
+                axis=0, out=ws.sum_gc)
+        # One row block: no partial sum, but a one-term numpy sum is
+        # ``+0.0 + y``, so the copy adds 0.0 to keep its -0.0 -> +0.0.
+        if grid_cols == 1:
+            block = y[0, :true_batch, :self.bank_cols]
+            ws.out = np.add(block, 0.0) if grid_rows == 1 else block.copy()
+            return
+        blocks = y[:, :true_batch].transpose(1, 0, 2)   # (batch, gc, S)
+        out = (np.add(blocks, 0.0, order="C") if grid_rows == 1
+               else blocks.copy(order="C"))
+        out = out.reshape(true_batch, grid_cols * self.size)
+        ws.out = (out if self.bank_cols == out.shape[1]
+                  else out[:, :self.bank_cols].copy())
+
+
+class _Workspace:
+    """Scratch for one fused pass at one batch size.
+
+    Built from a :class:`_VmmPlan`, which sizes each buffer for the
+    stages it runs: ``(tiles, batch, size)`` for the DAC (one tile's
+    worth when every tile drives the same voltages), ``(tiles, batch,
+    cols)`` for the wire and ADC stages (``width`` columns where the
+    sneak pass reads a zero column).  Workspaces live in the
+    engine's bounded LRU (one per recent batch size) and are private to
+    a single VMM call; the output is a fresh array, so nothing the
+    caller holds aliases them.  ``x_padded`` and ``y`` are
+    zero-initialized and only their true rows/columns are ever
+    rewritten, so padding stays zero across reuse.
+    """
+
+    def __init__(self, plan: _VmmPlan, batch: int):
+        count, size = plan.count, plan.size
+        grid_rows, grid_cols = plan.grid
+        self.batch = batch
+        self.true_batch = 0     # rows of x_padded the last call filled
+        self.x_padded = np.zeros((batch, grid_rows * size))
+        self.xabs = np.empty((batch, grid_rows * size))
+        self.xabs_blocks = self.xabs.reshape(batch, grid_rows, size)
+        self.scale_bg = np.empty((batch, grid_rows))  # per-(sample, block)
+        if plan.row_block is None:
+            # One row block: every tile reads the same inputs and scales.
+            self.xt = self.x_padded[None]               # (1, B, S)
+            self.scale = self.scale_bg[None]            # (1, B, 1)
+        else:
+            self.x_blocks = self.x_padded.reshape(
+                batch, grid_rows, size).transpose(1, 0, 2)
+            self.xt = np.empty((count, batch, size))    # gathered blocks
+            self.scale_t = np.empty((count, batch))
+            self.scale = self.scale_t[:, :, None]       # (T, B, 1)
+            self.sum_gc = np.empty((grid_cols, batch, plan.cols))
+        self.xt_rows = self.xt[..., :plan.rows]
+        self.v = np.empty((plan.dac_tiles, batch, size))
+        self.v_rows = self.v[..., :plan.rows]
+        if plan.r_load > 0:
+            self.dac_work = np.empty_like(self.v)
+            self.demand = np.empty((plan.dac_tiles, batch, 1))
+        self.y = np.zeros((count, batch, plan.width))
+        self.y_cols = self.y[..., :plan.cols]
+        cells = (count, batch, plan.cols)
+        if plan.kappa is not None or plan.inl > 0 or plan.sram:
+            self.w1 = np.empty(cells)
+        if plan.inl > 0:
+            self.w2 = np.empty(cells)
+        if plan.coupling > 0 or plan.adc_offset is not None:
+            self.leak = np.empty((count, batch, plan.width))
+            self.leak_cols = self.leak[..., :plan.cols]
+        if plan.kappa is not None:
+            self.wc = np.empty((count, batch, 1))
+        self.fs = np.empty((count, batch, 1))
+        self.nfs = np.empty((count, batch, 1))
+        self.out: np.ndarray | None = None
 
 
 class TileEngine:
     """Executes a :class:`CrossbarBank`'s VMM through a chosen backend.
 
-    The engine owns the stacked mirrors (:class:`TileStacks`) and the
-    scratch buffers of the batched pass; the bank's
-    :class:`CrossbarTile` objects stay authoritative for programming
-    physics and for the ``"loop"`` reference backend.  Bank methods
-    that mutate tile state (RSA assignment, SRAM weight updates,
+    The engine owns the stacked mirrors (:class:`TileStacks`), the
+    batched pass's plan (:class:`_VmmPlan`) and its scratch buffers; the
+    bank's :class:`CrossbarTile` objects stay authoritative for
+    programming physics and for the ``"loop"`` reference backend.  Bank
+    methods that mutate tile state (RSA assignment, SRAM weight updates,
     reprogramming, retention drift) call :meth:`sync_sram` /
-    :meth:`sync_effective` so the stacks are updated in place.
+    :meth:`sync_effective`, which update the stacks in place and refresh
+    the plan.
     """
 
     def __init__(self, bank: "CrossbarBank", backend: str | None = None):
@@ -487,16 +820,10 @@ class TileEngine:
             backend if backend is not None else bank.config.backend)
         self._stacks: TileStacks | None = None
         # Fused-pass state, lazily built and reused across calls: the
-        # RNG gather/scatter plan (geometry + config dependent), one
-        # workspace per recent batch size, the jittered-conductance
-        # buffer, and the geometry factors of the worst-case output and
-        # ADC full scale (per-sample scale multiplies in per call).
-        self._plan: _RngPlan | None = None
+        # plan (stage list, extents, RNG layout) and one workspace per
+        # recent batch size.
+        self._plan: _VmmPlan | None = None
         self._workspaces: dict[int, _Workspace] = {}
-        self._analog: np.ndarray | None = None
-        self._wc_base: np.ndarray | None = None
-        self._fs_base: np.ndarray | None = None
-        self._rows3: np.ndarray | None = None
         self._traced = False
         # Surrogate-backend state: an explicitly attached bundle (None →
         # resolve via registry/SWORDFISH_SURROGATE_DIR on first use) and
@@ -553,8 +880,7 @@ class TileEngine:
         for t, tile in enumerate(self.tiles):
             st.sram[t, :tile.rows, :tile.cols] = tile.sram_mask
             st.ideal[t, :tile.rows, :tile.cols] = tile.ideal_weights
-        st.refresh_derived()
-        self._surrogate_runtime = None
+        self._refresh()
 
     def sync_effective(self) -> None:
         """Pull reprogrammed/drifted effective weights into the stacks."""
@@ -563,8 +889,15 @@ class TileEngine:
         st = self._stacks
         for t, tile in enumerate(self.tiles):
             st.effective[t, :tile.rows, :tile.cols] = tile.effective_weights
-        st.refresh_derived()
+        self._refresh()
+
+    def _refresh(self) -> None:
+        """Re-derive the operands and the plan after a sync."""
+        self._stacks.refresh_derived()
         self._surrogate_runtime = None
+        if self._plan is not None:
+            self._plan.refresh(self._stacks)
+            self._workspaces.clear()  # sized for the old stage list
 
     def set_backend(self, backend: str | None) -> None:
         """Re-resolve the execution backend (None → env/default)."""
@@ -604,35 +937,17 @@ class TileEngine:
     # ------------------------------------------------------------------
     _MAX_WORKSPACES = 4
 
-    def rng_plan(self) -> _RngPlan:
-        """The fused RNG gather/scatter plan, built on first use."""
+    def plan(self) -> _VmmPlan:
+        """The fused pass's plan, built on first use."""
         if self._plan is None:
-            self._plan = _RngPlan(self)
+            self._plan = _VmmPlan(self)
         return self._plan
 
     def workspace(self, batch: int) -> _Workspace:
         """Scratch buffers for ``batch`` rows (bounded LRU per size)."""
         ws = self._workspaces.pop(batch, None)
         if ws is None:
-            grid_rows, grid_cols = self.grid
-            size = self.config.size
-            count = self.num_tiles
-            width = grid_rows * size
-            ws = _Workspace(
-                x_padded=np.zeros((batch, width)),
-                xabs=np.empty((batch, width)),
-                xt=np.empty((count, batch, size)),
-                v=np.empty((count, batch, size)),
-                y=np.empty((count, batch, size)),
-                lf=np.empty((count, batch, size)),
-                leak=np.empty((count, batch, size)),
-                scale_bg=np.empty((batch, grid_rows)),
-                scale_t=np.empty((count, batch)),
-                wc=np.empty((count, batch, 1)),
-                fs=np.empty((count, batch, 1)),
-                sum_gc=np.empty((grid_cols, batch, size)),
-                out_full=np.empty((batch, grid_cols * size)),
-            )
+            ws = _Workspace(self.plan(), batch)
             while len(self._workspaces) >= self._MAX_WORKSPACES:
                 self._workspaces.pop(next(iter(self._workspaces)))
         self._workspaces[batch] = ws
@@ -719,129 +1034,33 @@ def _execute_loop(engine: TileEngine, x: np.ndarray) -> np.ndarray:
 def _execute_batched(engine: TileEngine, x: np.ndarray) -> np.ndarray:
     """Fused vectorized backend: one stacked pass over every tile.
 
-    Replicates the loop backend operation-for-operation on zero-padded
-    ``(tiles, batch, size)`` tensors; per-tile RNG draws come from each
-    tile's own generator in the same order the loop backend consumes
-    them, so both backends see identical noise.  The whole DAC → noise
-    → matmul → droop → ADC chain runs through preallocated per-engine
-    workspaces (no per-stage temporaries), the per-tile RNG fills are
-    one draw per tile scattered through precomputed index arrays
-    (:class:`_RngPlan`), and the DAC scale is **per sample** — each
-    batch row is normalized to its own magnitude, so a row's result is
+    Runs the bank's :class:`_VmmPlan`: the stages its design point
+    enables, each over whole ``(tiles, batch, ·)`` stacks at the
+    extents the plan sets, through a preallocated :class:`_Workspace`.
+    Each stage replicates the loop backend operation for operation, and
+    the per-tile RNG draws come from each tile's own generator in the
+    order the loop backend consumes them, so both backends see
+    identical noise.  The DAC scale is **per sample**: each batch row is
+    normalized to its own magnitude, so a row's result is
     bitwise-independent of what else shares the batch.
 
     Single-row calls execute at the canonical kernel batch of
     ``_MIN_KERNEL_BATCH`` (one zero row appended) so BLAS never takes
     the one-row fast path whose accumulation order differs from the
-    stacked gemm path.
+    stacked gemm path.  Traced and untraced calls run the same stage
+    list; tracing only wraps each stage in its ``vmm.<stage>`` span.
     """
-    st = engine.stacks()
-    config = engine.config
-    size = config.size
-    true_batch = x.shape[0]
-    batch = max(true_batch, _MIN_KERNEL_BATCH)
-    grid_rows, grid_cols = engine.grid
-    rows_total, cols_total = engine.bank.shape
-    plan = engine.rng_plan()
-    ws = engine.workspace(batch)
-    traced = engine._traced
-    if engine._wc_base is None:
-        engine._wc_base = (st.rows * st.w_max)[:, None, None]
-        engine._fs_base = (config.adc.range_headroom * np.sqrt(st.rows)
-                           * st.w_max)[:, None, None]
-        engine._rows3 = st.rows[:, None, None]
-        # Positivity holds by construction (rows >= 1, w_max floored at
-        # 1e-9, headroom > 0), which is what lets the apply_dac /
-        # apply_adc calls below skip their per-call validation.
-        assert np.all(engine._wc_base > 0) and np.all(engine._fs_base > 0)
-
-    # Gather per-tile input blocks: (T, B, S), zero-padded rows/cols —
-    # and the per-(row-block, sample) DAC scale.  Padding is |0| = 0, so
-    # it can never win the per-sample max; all-zero rows floor at 1e-12.
-    ws.x_padded[:true_batch, :rows_total] = x
-    if true_batch < batch:
-        ws.x_padded[true_batch:] = 0.0
-    x_blocks = ws.x_padded.reshape(batch, grid_rows, size).transpose(1, 0, 2)
-    np.take(x_blocks, st.row_block, axis=0, out=ws.xt)
-    np.abs(ws.x_padded, out=ws.xabs)
-    ws.xabs.reshape(batch, grid_rows, size).max(axis=2, out=ws.scale_bg)
-    np.maximum(ws.scale_bg, 1e-12, out=ws.scale_bg)
-    np.take(ws.scale_bg.T, st.row_block, axis=0, out=ws.scale_t)
-    scale = ws.scale_t[:, :, None]                                  # (T, B, 1)
-
-    # --- Fused RNG: one draw per tile, scattered to every stage -------
-    if plan.active:
-        with (trace_span("vmm.rng") if traced else _NULL):
-            plan.fill(engine.tiles)
-
-    # --- DAC: quantization, per-row mismatch, shared-driver sag -------
-    with (trace_span("vmm.dac") if traced else _NULL):
-        # Demand averages over each tile's *true* rows (padding stays 0).
-        v = apply_dac(ws.xt, config.dac, gain=plan.dac_gain_b,
-                      offset=plan.dac_offset_b,
-                      scale=scale, active_rows=engine._rows3,
-                      out=ws.v, work=ws.y, validate=False)
-
-    # --- Analog array: read noise on the programmed conductances ------
-    with (trace_span("vmm.conductance") if traced else _NULL):
-        analog = st.analog
-        if plan.jitter is not None:
-            if engine._analog is None:
-                engine._analog = np.empty_like(st.analog)
-            analog = engine._analog
-            np.multiply(plan.jitter, config.device.read_noise, out=analog)
-            analog += 1.0
-            np.multiply(analog, st.analog, out=analog)
-
-    with (trace_span("vmm.matmul") if traced else _NULL):
-        y = np.matmul(v, analog, out=ws.y)             # (T, B, S)
-
-    # --- Wires: input-dependent droop + neighbour sneak coupling ------
-    with (trace_span("vmm.wires") if traced else _NULL):
-        worst_case = np.multiply(engine._wc_base, scale, out=ws.wc)
-        np.divide(y, worst_case, out=ws.lf)
-        y *= dynamic_droop(ws.lf, engine._rows3,
-                           config.wire, config.device, out=ws.lf)
-        coupling = config.wire.sneak_coupling
-        if coupling > 0:
-            leak = ws.leak
-            if size >= 2:
-                # Edge-replicated neighbour average, written straight
-                # into the workspace (no np.pad temporary).
-                np.add(y[..., :-2], y[..., 2:], out=leak[..., 1:-1])
-                np.add(y[..., 0], y[..., 1], out=leak[..., 0])
-                np.add(y[..., -2], y[..., -1], out=leak[..., -1])
-                leak *= 0.5
-                leak *= coupling
-            else:
-                np.copyto(leak, sneak_leakage(y, config.wire))
-            # Ragged tiles: the loop backend edge-replicates at the tile's
-            # true last column; the padded column it sees instead is 0.
-            for t in np.nonzero(st.cols < size)[0]:
-                edge = int(st.cols[t]) - 1
-                leak[t, :, edge] += coupling * 0.5 * y[t, :, edge]
-            y += leak
-
-    # --- Sense/ADC: fixed range per tile geometry and sample scale ----
-    with (trace_span("vmm.adc") if traced else _NULL):
-        full_scale = np.multiply(engine._fs_base, scale, out=ws.fs)
-        adc_offset = None
-        if plan.adc_offset_raw_b is not None:
-            adc_offset = np.multiply(plan.adc_offset_raw_b,
-                                     full_scale, out=ws.leak)
-        y = apply_adc(y, config.adc, full_scale, gain=plan.adc_gain_b,
-                      offset=adc_offset, out=y, work=(ws.lf, ws.v),
-                      validate=False)
-
-    # --- Digital: SRAM contribution + partial-sum across row blocks ---
-    with (trace_span("vmm.digital") if traced else _NULL):
-        if st.has_sram:
-            y += np.matmul(ws.xt, st.digital, out=ws.lf)
-        y.reshape(grid_rows, grid_cols, batch, size).sum(axis=0,
-                                                         out=ws.sum_gc)
-        out3 = ws.out_full.reshape(batch, grid_cols, size)
-        np.copyto(out3, ws.sum_gc.transpose(1, 0, 2))
-        return ws.out_full[:true_batch, :cols_total].copy()
+    plan = engine.plan()
+    ws = engine.workspace(max(x.shape[0], _MIN_KERNEL_BATCH))
+    plan.load(ws, x)
+    if engine._traced:
+        for name, stage in plan.stages:
+            with trace_span(name):
+                stage(ws)
+    else:
+        for _, stage in plan.stages:
+            stage(ws)
+    return ws.out
 
 
 def _execute_surrogate(engine: TileEngine, x: np.ndarray) -> np.ndarray:

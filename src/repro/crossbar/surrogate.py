@@ -46,6 +46,7 @@ import argparse
 import hashlib
 import json
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -58,6 +59,9 @@ from ..observability import trace_span
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .crossbar import CrossbarConfig
     from .engine import TileEngine, TileStacks
+
+# Reusable no-op context for untraced calls.
+_NULL = nullcontext()
 
 __all__ = [
     "ENV_SURROGATE_DIR",
@@ -596,7 +600,6 @@ def execute_surrogate(engine: "TileEngine", x: np.ndarray) -> np.ndarray:
     grid_rows, grid_cols = engine.grid
     rows_total, cols_total = engine.bank.shape
     traced = engine._traced
-    from .engine import _NULL  # late import: engine imports this module
 
     # Gather per-tile input blocks and the per-sample DAC scale, exactly
     # as the batched backend does (padding is zero, scale floored).

@@ -61,39 +61,25 @@ def static_attenuation(rows: int, cols: int, config: WireConfig,
 
 
 def dynamic_droop(load_fraction: np.ndarray, rows: int | np.ndarray,
-                  config: WireConfig, device: DeviceConfig,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  config: WireConfig, device: DeviceConfig) -> np.ndarray:
     """Input-dependent droop factor per column for one VMM.
 
     ``load_fraction`` is the column output normalized to its worst case
     (all cells at G_max, full drive), i.e. a value in roughly [0, 1].
     The IR drop along a bit line carrying the worst-case current is
     ``rows · R_segment · G_max`` of the drive voltage; actual droop
-    scales with the column's load fraction.  ``rows`` may be an array
-    broadcastable against ``load_fraction`` (per-tile row counts for a
-    stacked ``(tiles, batch, cols)`` pass).  Pass ``out`` (which may
-    alias ``load_fraction``) to compute the factor without temporaries;
-    the per-element arithmetic is identical either way.
+    scales with the column's load fraction.
     """
     kappa = rows * config.segment_ohm * device.g_max
-    if out is None:
-        return 1.0 / (1.0 + kappa * np.abs(load_fraction))
-    np.abs(load_fraction, out=out)
-    out *= kappa
-    out += 1.0
-    np.reciprocal(out, out=out)
-    return out
+    return 1.0 / (1.0 + kappa * np.abs(load_fraction))
 
 
 def sneak_leakage(column_currents: np.ndarray,
                   config: WireConfig) -> np.ndarray:
     """Additive neighbour-coupling current (zero for 1T1R defaults).
 
-    Shape-agnostic: couples along the last axis, so stacked
-    ``(tiles, batch, cols)`` arrays are handled per tile.  For
-    zero-padded stacks the caller must correct each ragged tile's true
-    edge column (the physical edge replicates itself; the padded
-    neighbour reads zero) — see ``engine._execute_batched``.
+    Couples along the last axis; the edge columns replicate
+    themselves.
     """
     if config.sneak_coupling <= 0:
         return np.zeros_like(column_currents)

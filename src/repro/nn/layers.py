@@ -234,10 +234,13 @@ class LSTM(Module):
         out = np.empty((batch, time, hidden))
         for t in steps:
             gates = x_proj[:, t, :] + hook(h, self.weight_hh.data, 1)
-            i = _sigmoid(gates[:, :hidden])
-            f = _sigmoid(gates[:, hidden:2 * hidden])
+            # One elementwise sigmoid over the whole gate block (its g
+            # columns go unused), sliced into i, f and o.
+            act = _sigmoid(gates)
+            i = act[:, :hidden]
+            f = act[:, hidden:2 * hidden]
             g = np.tanh(gates[:, 2 * hidden:3 * hidden])
-            o = _sigmoid(gates[:, 3 * hidden:])
+            o = act[:, 3 * hidden:]
             c = f * c + i * g
             h = o * np.tanh(c)
             out[:, t, :] = h

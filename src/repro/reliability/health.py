@@ -37,6 +37,8 @@ import numpy as np
 __all__ = ["DivergenceError", "HealthPolicy", "HealthMonitor",
            "default_monitor"]
 
+_MAX_FINITE = float(np.finfo(np.float64).max)
+
 
 class DivergenceError(RuntimeError):
     """A watched quantity went NaN/Inf or exploded past its bound."""
@@ -167,6 +169,11 @@ class HealthMonitor:
         self.checks += 1
         array = np.asarray(array)
         if array.size == 0:
+            return array
+        # One reduction on the hot path: NaN and ±inf fail the compare
+        # (the bound is capped at the largest finite float), so only a
+        # failing array pays for the checks that name the failure.
+        if np.abs(array).max() <= min(self.policy.output_limit, _MAX_FINITE):
             return array
         if not np.isfinite(array).all():
             bad = int(np.size(array) - np.count_nonzero(np.isfinite(array)))

@@ -31,7 +31,7 @@ without changing any read's result: the engine restores the RNG epoch
 once per stacked group, and each row of the stacked forward is
 bitwise-identical to the same read basecalled alone — regardless of
 which other reads share its batch (proven in
-``tests/test_serve_stacking.py``).
+``tests/test_batch_invariance.py``).
 """
 
 from __future__ import annotations

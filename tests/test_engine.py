@@ -20,6 +20,7 @@ from repro.crossbar import (
     DACConfig,
     DeviceConfig,
     DriftConfig,
+    TileEngine,
     VariationConfig,
     WireConfig,
     available_backends,
@@ -165,6 +166,52 @@ EQUIV_CONFIGS = {
                       offset_std=0.01, inl=0.03)),
 }
 
+#: Mismatch, quantization and sneak on, so the skip cases run inside a
+#: full chain.
+_NOISY = dict(
+    device=DeviceConfig(read_noise=0.02),
+    dac=DACConfig(bits=6, r_load=0.2, gain_std=0.02, offset_std=0.01),
+    adc=ADCConfig(bits=7, gain_std=0.02, offset_std=0.01, inl=0.03),
+    wire=WireConfig(segment_ohm=2.0, sneak_coupling=0.01),
+)
+
+
+def _noisy(size=16, **overrides):
+    return CrossbarConfig(size=size, **{**_NOISY, **overrides})
+
+
+#: Every stage the VMM plan can leave out: name -> ((shape, config,
+#: SRAM fraction) with the stage skipped, the same with it live, and
+#: plan -> whether the stage is live).
+SKIP_CASES = {
+    "dac_v_max": (
+        ((40, 23), _noisy(), 0.0),
+        ((40, 23), _noisy(dac=DACConfig(bits=6, r_load=0.2, gain_std=0.02,
+                                        offset_std=0.01, v_max=2.0)), 0.0),
+        lambda plan: plan.v_max is not None),
+    "droop_beside_sneak": (
+        ((40, 23), _noisy(wire=WireConfig(segment_ohm=0.0,
+                                          sneak_coupling=0.01)), 0.0),
+        ((40, 23), _noisy(), 0.0),
+        lambda plan: plan.kappa is not None),
+    "adc_inl_without_bits": (
+        ((40, 23), _noisy(adc=ADCConfig(bits=None, inl=0.0)), 0.0),
+        ((40, 23), _noisy(adc=ADCConfig(bits=None, inl=0.05)), 0.0),
+        lambda plan: plan.inl > 0),
+    "sram_single_row_block": (
+        ((12, 40), _noisy(), 0.0),
+        ((12, 40), _noisy(), 0.2),
+        lambda plan: plan.sram),
+    "ragged_single_column_64": (
+        ((48, 64), _noisy(size=64), 0.0),
+        ((48, 40), _noisy(size=64), 0.0),
+        lambda plan: plan.edge is not None),
+    "ragged_single_column_256": (
+        ((48, 256), _noisy(size=256), 0.0),
+        ((48, 192), _noisy(size=256), 0.0),
+        lambda plan: plan.edge is not None),
+}
+
 
 class TestBackendEquivalence:
     @pytest.mark.parametrize("name", sorted(EQUIV_CONFIGS))
@@ -239,6 +286,32 @@ class TestBackendEquivalence:
             tile.vmm(np.zeros((1, tile.rows)))
         c = CrossbarBank(weights_for((40, 23)), config, 7, backend="loop")
         np.testing.assert_allclose(c.vmm(x), expected, rtol=0.0, atol=0.0)
+
+    @pytest.mark.parametrize("live", [False, True],
+                             ids=["skipped", "live"])
+    @pytest.mark.parametrize("case", sorted(SKIP_CASES))
+    def test_plan_skip_conditions(self, case, live):
+        """Each stage the plan can leave out, with it left out and live."""
+        *variants, probe = SKIP_CASES[case]
+        shape, config, sram = variants[live]
+        loop, batched = bank_pair(shape, config)
+        if sram:
+            assert loop.assign_sram(sram) == batched.assign_sram(sram)
+        for call, batch in enumerate((1, 3, 1)):
+            x = weights_for((batch, shape[0]), seed=80 + call)
+            assert_equivalent(loop, batched, x)
+        assert probe(batched.engine.plan()) == live
+
+    def test_workspaces_stay_bounded(self):
+        """More distinct batch sizes than the LRU holds keep the scratch
+        bounded, and a size evicted and rebuilt still computes right."""
+        loop, batched = bank_pair((40, 23), EQUIV_CONFIGS["everything"])
+        limit = TileEngine._MAX_WORKSPACES
+        for batch in range(1, limit + 6):
+            x = weights_for((batch, 40), seed=batch)
+            assert_equivalent(loop, batched, x)
+            assert len(batched.engine._workspaces) <= limit
+        assert_equivalent(loop, batched, weights_for((1, 40), seed=99))
 
     @settings(deadline=None, max_examples=25)
     @given(

@@ -109,6 +109,39 @@ class TestLSTM:
         deployed = lstm(nn.Tensor(x)).data
         assert np.allclose(exact, deployed, atol=1e-12)
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    def test_deployed_gate_block_matches_per_gate_bitwise(self, batch,
+                                                          reverse):
+        """One sigmoid over the (B, 4H) gate block slices into exactly
+        the i, f and o a per-gate sigmoid computes."""
+        hidden = 48
+        lstm = nn.LSTM(16, hidden, reverse=reverse,
+                       rng=np.random.default_rng(batch))
+        x = np.random.default_rng(7).standard_normal((batch, 9, 16)) * 3.0
+        hook = lambda a, w, slot: a @ w
+        lstm.matmul_hook = hook
+        deployed = lstm(nn.Tensor(x)).data
+
+        def sigmoid(z):
+            return 1.0 / (1.0 + np.exp(-z))
+
+        x_proj = (hook(x.reshape(-1, 16), lstm.weight_ih.data, 0)
+                  .reshape(batch, 9, 4 * hidden) + lstm.bias.data)
+        h = np.zeros((batch, hidden))
+        c = np.zeros((batch, hidden))
+        expected = np.empty((batch, 9, hidden))
+        for t in (range(8, -1, -1) if reverse else range(9)):
+            gates = x_proj[:, t, :] + hook(h, lstm.weight_hh.data, 1)
+            i = sigmoid(gates[:, :hidden])
+            f = sigmoid(gates[:, hidden:2 * hidden])
+            g = np.tanh(gates[:, 2 * hidden:3 * hidden])
+            o = sigmoid(gates[:, 3 * hidden:])
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            expected[:, t, :] = h
+        assert deployed.tobytes() == expected.tobytes()
+
     def test_forget_bias_initialized(self, rng):
         lstm = nn.LSTM(3, 4, rng=rng)
         assert np.allclose(lstm.bias.data[4:8], 1.0)

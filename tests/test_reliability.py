@@ -202,8 +202,23 @@ class TestHealthMonitor:
         monitor.check_array("vmm", np.empty((0,)))  # empty is fine
         with pytest.raises(DivergenceError, match="non-finite"):
             monitor.check_array("vmm", np.array([1.0, np.nan]))
-        with pytest.raises(DivergenceError, match="magnitude"):
+        for bad in (np.inf, -np.inf):
+            with pytest.raises(DivergenceError) as info:
+                monitor.check_array("vmm", np.array([1.0, bad, 2.0, 3.0]))
+            assert info.value.detail == "1/4 non-finite elements"
+            assert info.value.metric == "vmm" and np.isnan(info.value.value)
+        # Non-finite wins over an over-limit magnitude in the same array.
+        with pytest.raises(DivergenceError) as info:
+            monitor.check_array("vmm", np.array([np.nan, 2e12, np.inf]))
+        assert info.value.detail == "2/3 non-finite elements"
+        with pytest.raises(DivergenceError, match="magnitude") as info:
             monitor.check_array("vmm", np.array([2e3]))
+        assert info.value.value == 2e3
+        # An infinite limit still rejects infinities.
+        unbounded = HealthMonitor(HealthPolicy(output_limit=np.inf))
+        assert unbounded.check_array("vmm", np.array([1e300])) is not None
+        with pytest.raises(DivergenceError, match="non-finite"):
+            unbounded.check_array("vmm", np.array([np.inf]))
 
     def test_rollback_budget(self):
         monitor = HealthMonitor(HealthPolicy(on_divergence="rollback",
