@@ -10,7 +10,7 @@ size)`` arrays and executes the whole bank as one vectorized pass —
 batched DAC, read noise, IR droop, sneak leakage, and ADC across all
 tiles at once — without changing the modeled physics.  A per-bank plan
 (:class:`_VmmPlan`) runs only the stages the design point enables, and
-the weight-sized ones only over the tiles' true extents.
+applies read noise only over the tiles' true extents.
 
 Two backends are registered:
 
@@ -69,7 +69,6 @@ __all__ = [
     "resolve_backend",
     "spawn_generators",
     "tile_grid",
-    "true_extents",
 ]
 
 ENV_BACKEND = "SWORDFISH_VMM_BACKEND"
@@ -110,35 +109,6 @@ def iter_tile_blocks(shape: tuple[int, int], size: int
         for j in range(grid_cols):
             col_slice = slice(j * size, min((j + 1) * size, cols))
             yield i, j, row_slice, col_slice
-
-
-#: Column block of the platform's dgemm micro-kernel (OpenBLAS x86-64
-#: runs columns in blocks of 8; a narrower tail block takes a kernel
-#: whose accumulation over rows differs).
-_GEMM_COLUMN_BLOCK = 8
-
-
-def true_extents(shape: tuple[int, int], size: int) -> tuple[int, int]:
-    """Row/column extents of a bank's weight-sized VMM work.
-
-    A matrix that fits one column block needs only its own columns,
-    rounded up to the gemm column block (at most ``size``); otherwise
-    ``size``.  Rows likewise need only the matrix's own rows (at least
-    2) when it fits one row block, but only while the columns fill whole
-    gemm blocks.  Within those bounds a gemm over the extents equals the
-    true block of the zero-padded gemm bit for bit (see
-    ``tests/test_batch_invariance.py::TestBlasPlatformProbe``).
-    """
-    rows, cols = shape
-    grid_rows, grid_cols = tile_grid(shape, size)
-    block = _GEMM_COLUMN_BLOCK
-    if grid_cols == 1:
-        cols = min(size, -(-cols // block) * block)
-    else:
-        cols = size
-    if grid_rows > 1 or cols % block:
-        rows = size
-    return max(rows, 2), cols
 
 
 # ----------------------------------------------------------------------
@@ -264,9 +234,9 @@ class TileStacks:
     through the analog array).  Padded cells are zero in every operand,
     so they can never contribute to an output column.  Whole-matrix
     assembly, RSA placement and the surrogate read the padded layout;
-    the fused kernel reads ``analog``/``digital`` through views over the
-    tiles' true extents (:class:`_VmmPlan`), which stay current because
-    every sync rewrites the stacks in place.
+    so does the fused kernel, except that read noise touches only the
+    tiles' true extents (:class:`_VmmPlan`).  Every sync rewrites the
+    stacks in place, so the plan's references to them stay current.
     """
 
     effective: np.ndarray      # (T, S, S) float64, zero-padded
@@ -463,14 +433,14 @@ class _RngPlan:
 
 
 class _VmmPlan:
-    """The stage list of one bank's fused pass, and the extents it runs over.
+    """The stage list of one bank's fused pass.
 
     Built once per engine from its :class:`CrossbarConfig` and tile
-    geometry, and refreshed by ``sync_sram`` / ``sync_effective``.
-    :func:`_execute_batched` runs :attr:`stages` and nothing else, so a
-    design point pays only for the non-idealities it switches on.  A
-    stage or pass is left out only where it is an exact IEEE identity
-    for finite values:
+    geometry; ``sync_sram`` / ``sync_effective`` only update
+    :attr:`sram`.  :func:`_execute_batched` runs :attr:`stages` and
+    nothing else, so a design point pays only for the non-idealities it
+    switches on.  A stage or pass is left out only where it is an exact
+    IEEE identity for finite values:
 
     * the DAC's ``× v_max`` / ``÷ v_max`` pairs when ``v_max == 1``;
     * IR droop when ``segment_ohm == 0`` (its factor is
@@ -486,21 +456,17 @@ class _VmmPlan:
     The ragged-edge sneak correction is plan data: one basic index over
     the last tile column, not a per-call ``np.nonzero`` loop.
 
-    Weight-sized work (jitter, the conductance multiply, the analog and
-    SRAM matmuls) runs over the tiles' *true extents*
-    (:func:`true_extents`): the matrix's rows when it fits one row
-    block, else ``size``; likewise for columns, rounded up to the gemm's
-    8-column block.  Zero padding only adds exact zeros to each dot
-    product, so the true block of the padded gemm equals the gemm over
-    the extents bit for bit.  Extents are never below 2: numpy hands a
-    one-column operand to gemv, whose summation order differs.  Wire
-    and ADC stages run over the extent's columns too.  The DAC keeps the
-    padded width: its ``r_load`` demand is a pairwise sum whose
-    association depends on the length (numpy adds fewer than 8 terms in
-    sequence and 8 or more in eight lanes).  A ragged single-block bank
-    with sneak coupling whose extent ends at its last true column keeps
-    one zero column beyond it, which the neighbour sum reads exactly as
-    it read the padding.
+    Read noise runs over the tiles' *true extents* only: the matrix's
+    rows when it fits one row block, else ``size``; likewise for
+    columns.  Those cells are all the draws cover, and the jittered
+    operand is a zero-padded ``(tiles, size, size)`` buffer whose
+    padding is never written.  Every other stage keeps the padded
+    widths.  A matmul over trimmed operands is not bitwise-equal to the
+    true block of the padded one on every CPU: the gemm kernel groups
+    its sums by operand shape (OpenBLAS's Haswell kernel also by the
+    inner length), so only the padded shapes reproduce the same bits
+    everywhere.  The DAC's ``r_load`` demand is a pairwise sum whose
+    association depends on its length too.
     """
 
     def __init__(self, engine: "TileEngine"):
@@ -516,12 +482,8 @@ class _VmmPlan:
         self.grid = engine.grid
         self.bank_rows = rows_total
         self.bank_cols = cols_total
-        self.rows, self.cols = true_extents(engine.bank.shape, size)
         self.coupling = wire.sneak_coupling
         self.half_coupling = self.coupling * 0.5
-        self.width = self.cols
-        if self.coupling > 0 and self.cols == cols_total < size:
-            self.width += 1     # the zero column the neighbour sum reads
         last = cols_total - (grid_cols - 1) * size    # last tile column's cols
         self.edge = ((slice(grid_cols - 1, None, grid_cols), slice(None),
                       last - 1)
@@ -536,21 +498,19 @@ class _VmmPlan:
         # broadcasts them over the tiles.
         self.dac_tiles = (1 if grid_rows == 1 and self.dac_gain is None
                           and self.dac_offset is None else self.count)
-        self.adc_gain = (rng.adc_gain_b[..., :self.cols]
-                         if rng.adc_gain_b is not None else None)
-        self.adc_offset = (rng.adc_offset_raw_b[..., :self.cols]
-                           if rng.adc_offset_raw_b is not None else None)
-        self.digital = st.digital[:, :self.rows, :self.cols]
-        self.operand = st.analog[:, :self.rows, :self.cols]
+        self.adc_gain = rng.adc_gain_b
+        self.adc_offset = rng.adc_offset_raw_b
+        self.digital = st.digital
+        self.operand = st.analog
         self.jitter = None
         if rng.jitter is not None:
-            # Uniform banks draw exactly their true cells; padded jitter
-            # is cut to the extents.  Extent cells past the drawn ones
-            # are padding and stay zero in the jittered operand.
-            self.jitter = rng.jitter[:, :self.rows, :self.cols]
-            rows_j, cols_j = self.jitter.shape[1:]
+            # Uniform banks draw exactly these cells; padded draws are
+            # cut to them.
+            rows_j = rows_total if grid_rows == 1 else size
+            cols_j = cols_total if grid_cols == 1 else size
+            self.jitter = rng.jitter[:, :rows_j, :cols_j]
             self.read_noise = config.device.read_noise
-            self.operand = np.zeros((self.count, self.rows, self.cols))
+            self.operand = np.zeros_like(st.analog)
             self.jittered = self.operand[:, :rows_j, :cols_j]
             self.analog_cells = st.analog[:, :rows_j, :cols_j]
 
@@ -574,13 +534,11 @@ class _VmmPlan:
                            if dac.bits is not None else None)
         self.adc_levels = (2 ** (adc.bits - 1) - 1
                            if adc.bits is not None else None)
-        self.refresh(st)
-
-    def refresh(self, st: TileStacks) -> None:
-        """Rebuild the stage list (SRAM residency may have changed)."""
+        #: Whether any cell is SRAM-resident; kept current by the syncs.
         self.sram = st.has_sram
-        stages = []
-        if self.rng.active:
+
+        stages: list[tuple[str, Callable[[_Workspace], None]]] = []
+        if rng.active:
             stages.append(("vmm.rng", self._draw))
         stages.append(("vmm.dac", self._dac))
         if self.jitter is not None:
@@ -590,7 +548,7 @@ class _VmmPlan:
             stages.append(("vmm.wires", self._wires))
         stages.append(("vmm.adc", self._adc))
         stages.append(("vmm.digital", self._digital))
-        self.stages: list[tuple[str, Callable[[_Workspace], None]]] = stages
+        self.stages = stages
 
     # ------------------------------------------------------------------
     # Per-call steps (each mirrors the loop backend's per-tile order)
@@ -658,11 +616,11 @@ class _VmmPlan:
         np.multiply(g, self.analog_cells, out=g)
 
     def _matmul(self, ws: "_Workspace") -> None:
-        np.matmul(ws.v_rows, self.operand, out=ws.y_cols)
+        np.matmul(ws.v, self.operand, out=ws.y)
 
     def _wires(self, ws: "_Workspace") -> None:
         """Input-dependent IR droop, then neighbour sneak coupling."""
-        y = ws.y_cols
+        y = ws.y
         if self.kappa is not None:
             worst_case = np.multiply(self.wc_base, ws.scale, out=ws.wc)
             factor = np.divide(y, worst_case, out=ws.w1)
@@ -672,27 +630,28 @@ class _VmmPlan:
             np.reciprocal(factor, out=factor)
             y *= factor
         if self.coupling > 0:
-            # Edge-replicated neighbour average over ``width`` columns.
-            full, leak = ws.y, ws.leak
-            np.add(full[..., :-2], full[..., 2:], out=leak[..., 1:-1])
-            np.add(full[..., 0], full[..., 1], out=leak[..., 0])
-            np.add(full[..., -2], full[..., -1], out=leak[..., -1])
+            # Edge-replicated neighbour average, written straight into
+            # the workspace (no np.pad temporary).
+            leak = ws.leak
+            np.add(y[..., :-2], y[..., 2:], out=leak[..., 1:-1])
+            np.add(y[..., 0], y[..., 1], out=leak[..., 0])
+            np.add(y[..., -2], y[..., -1], out=leak[..., -1])
             leak *= 0.5
             leak *= self.coupling
             if self.edge is not None:
                 # A ragged tile edge-replicates at its true last column,
                 # where the neighbour sum above read a zero column.
-                leak[self.edge] += self.half_coupling * full[self.edge]
-            y += ws.leak_cols
+                leak[self.edge] += self.half_coupling * y[self.edge]
+            y += leak
 
     def _adc(self, ws: "_Workspace") -> None:
         """Gain/offset, INL, saturation and quantization, as ``apply_adc``."""
-        y = ws.y_cols
+        y = ws.y
         full_scale = np.multiply(self.fs_base, ws.scale, out=ws.fs)
         if self.adc_gain is not None:
             y *= self.adc_gain
         if self.adc_offset is not None:
-            y += np.multiply(self.adc_offset, full_scale, out=ws.leak_cols)
+            y += np.multiply(self.adc_offset, full_scale, out=ws.leak)
         if self.inl > 0:
             w1, w2 = ws.w1, ws.w2
             np.divide(y, full_scale, out=w1)
@@ -716,15 +675,14 @@ class _VmmPlan:
 
     def _digital(self, ws: "_Workspace") -> None:
         """SRAM contribution, row-block partial sums, output copy."""
-        y = ws.y_cols
+        y = ws.y
         if self.sram:
-            y += np.matmul(ws.xt_rows, self.digital, out=ws.w1)
+            y += np.matmul(ws.xt, self.digital, out=ws.w1)
         true_batch = ws.true_batch
         grid_rows, grid_cols = self.grid
         if grid_rows > 1:
             y = np.add.reduce(
-                ws.y.reshape(grid_rows, grid_cols, ws.batch,
-                             self.width)[..., :self.cols],
+                y.reshape(grid_rows, grid_cols, ws.batch, self.size),
                 axis=0, out=ws.sum_gc)
         # One row block: no partial sum, but a one-term numpy sum is
         # ``+0.0 + y``, so the copy adds 0.0 to keep its -0.0 -> +0.0.
@@ -743,16 +701,15 @@ class _VmmPlan:
 class _Workspace:
     """Scratch for one fused pass at one batch size.
 
-    Built from a :class:`_VmmPlan`, which sizes each buffer for the
-    stages it runs: ``(tiles, batch, size)`` for the DAC (one tile's
-    worth when every tile drives the same voltages), ``(tiles, batch,
-    cols)`` for the wire and ADC stages (``width`` columns where the
-    sneak pass reads a zero column).  Workspaces live in the
+    Built from a :class:`_VmmPlan`, which allocates only the buffers
+    its stages use, each ``(tiles, batch, size)`` or a per-sample
+    ``(tiles, batch, 1)`` factor; the DAC output holds one tile's worth
+    when every tile drives the same voltages.  Workspaces live in the
     engine's bounded LRU (one per recent batch size) and are private to
     a single VMM call; the output is a fresh array, so nothing the
-    caller holds aliases them.  ``x_padded`` and ``y`` are
-    zero-initialized and only their true rows/columns are ever
-    rewritten, so padding stays zero across reuse.
+    caller holds aliases them.  ``x_padded`` is zero-initialized and
+    only its true rows/columns are ever rewritten, so padding stays zero
+    across reuse.
     """
 
     def __init__(self, plan: _VmmPlan, batch: int):
@@ -774,23 +731,19 @@ class _Workspace:
             self.xt = np.empty((count, batch, size))    # gathered blocks
             self.scale_t = np.empty((count, batch))
             self.scale = self.scale_t[:, :, None]       # (T, B, 1)
-            self.sum_gc = np.empty((grid_cols, batch, plan.cols))
-        self.xt_rows = self.xt[..., :plan.rows]
+            self.sum_gc = np.empty((grid_cols, batch, size))
         self.v = np.empty((plan.dac_tiles, batch, size))
-        self.v_rows = self.v[..., :plan.rows]
         if plan.r_load > 0:
             self.dac_work = np.empty_like(self.v)
             self.demand = np.empty((plan.dac_tiles, batch, 1))
-        self.y = np.zeros((count, batch, plan.width))
-        self.y_cols = self.y[..., :plan.cols]
-        cells = (count, batch, plan.cols)
+        cells = (count, batch, size)
+        self.y = np.empty(cells)
         if plan.kappa is not None or plan.inl > 0 or plan.sram:
             self.w1 = np.empty(cells)
         if plan.inl > 0:
             self.w2 = np.empty(cells)
         if plan.coupling > 0 or plan.adc_offset is not None:
-            self.leak = np.empty((count, batch, plan.width))
-            self.leak_cols = self.leak[..., :plan.cols]
+            self.leak = np.empty(cells)
         if plan.kappa is not None:
             self.wc = np.empty((count, batch, 1))
         self.fs = np.empty((count, batch, 1))
@@ -807,8 +760,8 @@ class TileEngine:
     programming physics and for the ``"loop"`` reference backend.  Bank
     methods that mutate tile state (RSA assignment, SRAM weight updates,
     reprogramming, retention drift) call :meth:`sync_sram` /
-    :meth:`sync_effective`, which update the stacks in place and refresh
-    the plan.
+    :meth:`sync_effective`, which update the stacks in place and tell
+    the plan whether any cell is SRAM-resident.
     """
 
     def __init__(self, bank: "CrossbarBank", backend: str | None = None):
@@ -892,12 +845,16 @@ class TileEngine:
         self._refresh()
 
     def _refresh(self) -> None:
-        """Re-derive the operands and the plan after a sync."""
-        self._stacks.refresh_derived()
+        """Re-derive the operands after a sync; the plan reads them in
+        place and only tracks SRAM residency."""
+        st = self._stacks
+        had_sram = st.has_sram
+        st.refresh_derived()
         self._surrogate_runtime = None
         if self._plan is not None:
-            self._plan.refresh(self._stacks)
-            self._workspaces.clear()  # sized for the old stage list
+            self._plan.sram = st.has_sram
+        if st.has_sram != had_sram:
+            self._workspaces.clear()  # the SRAM product needs scratch
 
     def set_backend(self, backend: str | None) -> None:
         """Re-resolve the execution backend (None → env/default)."""
@@ -1035,8 +992,8 @@ def _execute_batched(engine: TileEngine, x: np.ndarray) -> np.ndarray:
     """Fused vectorized backend: one stacked pass over every tile.
 
     Runs the bank's :class:`_VmmPlan`: the stages its design point
-    enables, each over whole ``(tiles, batch, ·)`` stacks at the
-    extents the plan sets, through a preallocated :class:`_Workspace`.
+    enables, each over whole zero-padded ``(tiles, batch, size)``
+    stacks, through a preallocated :class:`_Workspace`.
     Each stage replicates the loop backend operation for operation, and
     the per-tile RNG draws come from each tile's own generator in the
     order the loop backend consumes them, so both backends see

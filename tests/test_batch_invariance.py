@@ -12,8 +12,8 @@ that contract at three layers:
   ulp.  The probe asserts the property the padding relies on: within
   the gemm regime (two or more rows), each row's product is
   bitwise-independent of the batch size and of the other rows' content.
-  It also asserts that a gemm over the kernel's true tile extents
-  equals the true block of the zero-padded gemm.
+  It also asserts that a gemm broadcasting one DAC output over
+  side-by-side tiles equals each tile's own gemm.
 * **Raw engine path** — ``CrossbarBank.vmm`` row equality across batch
   compositions, on both backends, with tile RNG states restored between
   calls (hypothesis-driven compositions).
@@ -38,7 +38,7 @@ from repro.crossbar import (
     apply_dac,
     iter_tile_blocks,
 )
-from repro.crossbar.engine import _MIN_KERNEL_BATCH, true_extents
+from repro.crossbar.engine import _MIN_KERNEL_BATCH
 from repro.serve import BasecallEngine, EngineConfig
 
 #: A bank config exercising the full DAC -> noise -> droop -> ADC chain.
@@ -106,46 +106,35 @@ class TestBlasPlatformProbe:
         stacked = np.vstack([x0[None, :], rng.standard_normal((3, rows))])
         assert np.array_equal((stacked @ w)[0], gemm_row)
 
-    #: Bank shapes of the default model, plus small ragged banks whose
-    #: column extents round up to the gemm's 8-column block (at size 17
-    #: a 17-column extent keeps every row, see ``true_extents``).
+    #: Bank shapes of the default model.
     DEFAULT_SHAPES = sorted({shape for _, layer in
                              BonitoModel(BonitoConfig()).vmm_layers()
                              for shape in layer.vmm_shapes()})
-    RAGGED_SHAPES = [(16, 11), (5, 1), (12, 16), (5, 7), (40, 23)]
 
     @pytest.mark.parametrize("batch", [2, 3, 400])
-    @pytest.mark.parametrize("size, shapes", [
-        (64, DEFAULT_SHAPES), (256, DEFAULT_SHAPES),
-        (16, RAGGED_SHAPES), (17, [(5, 17), (17, 17), (9, 12)])],
-        ids=["default-64", "default-256", "ragged-16", "ragged-17"])
-    def test_gemm_over_true_extents_matches_padded(self, size, shapes,
-                                                   batch):
-        """The kernel's matmuls run over ``true_extents`` views of the
-        zero-padded stacks; each tile's true block must equal that of
-        the padded ``(tiles, batch, size) @ (tiles, size, size)`` gemm
-        bit for bit."""
+    @pytest.mark.parametrize("size", [64, 256])
+    def test_broadcast_gemm_over_side_by_side_tiles(self, size, batch):
+        """A bank that fits one row block runs its DAC once and
+        broadcasts the ``(1, batch, size)`` voltages over its
+        side-by-side tiles; each tile's product must equal a gemm of
+        that tile alone, bit for bit."""
         rng = np.random.default_rng(size + batch)
-        for shape in shapes:
-            rows, cols = true_extents(shape, size)
+        for shape in self.DEFAULT_SHAPES:
             blocks = [(rs.stop - rs.start, cs.stop - cs.start)
-                      for _, _, rs, cs in iter_tile_blocks(shape, size)]
-            x = np.zeros((len(blocks), batch, size))
+                      for i, _, rs, cs in iter_tile_blocks(shape, size)
+                      if i == 0]
+            rows = blocks[0][0]
+            v = np.zeros((1, batch, size))
+            v[0, :, :rows] = rng.standard_normal((batch, rows))
             w = np.zeros((len(blocks), size, size))
             for t, (r, c) in enumerate(blocks):
-                x[t, :, :r] = rng.standard_normal((batch, r))
                 w[t, :r, :c] = rng.standard_normal((r, c))
-            padded = np.matmul(x, w)
-            # Like the kernel: strided views in, a strided view out.
-            out = np.zeros((len(blocks), batch, cols + 1))
-            np.matmul(x[..., :rows], w[:, :rows, :cols],
-                      out=out[..., :cols])
-            for t, (_, c) in enumerate(blocks):
-                assert (out[t, :, :c].tobytes()
-                        == padded[t, :, :c].tobytes()), (
-                    f"gemm over extents {(rows, cols)} differs from the "
-                    f"padded gemm for bank {shape} at size {size}, "
-                    f"batch {batch}")
+            out = np.empty((len(blocks), batch, size))
+            np.matmul(v, w, out=out)
+            for t in range(len(blocks)):
+                assert out[t].tobytes() == (v[0] @ w[t]).tobytes(), (
+                    f"broadcast gemm differs for tile {t} of bank "
+                    f"{shape} at size {size}, batch {batch}")
 
 
 # ----------------------------------------------------------------------

@@ -272,6 +272,24 @@ class TestBackendEquivalence:
         batched.age(3600.0, drift)
         assert_equivalent(loop, batched, weights_for((4, 40), seed=61))
 
+    def test_syncs_after_calls_keep_the_plan_current(self):
+        """Reprogramming, drift and RSA after the plan and its workspaces
+        exist: the plan reads the rewritten stacks in place."""
+        loop, batched = bank_pair((40, 23), EQUIV_CONFIGS["everything"])
+        x = weights_for((3, 40), seed=91)
+        assert_equivalent(loop, batched, x)
+        plan = batched.engine.plan()
+        loop.reprogram()
+        batched.reprogram()
+        assert_equivalent(loop, batched, x)
+        drift = DriftConfig(relaxation_per_decade=0.05, diffusion=0.01)
+        loop.age(3600.0, drift)
+        batched.age(3600.0, drift)
+        assert_equivalent(loop, batched, x)
+        assert loop.assign_sram(0.1) == batched.assign_sram(0.1)
+        assert_equivalent(loop, batched, x)
+        assert batched.engine.plan() is plan and plan.sram
+
     def test_evaluation_order_independent_streams(self):
         """A bank whose tiles were consumed in a different order still
         draws the same per-tile noise (SeedSequence spawning)."""
