@@ -1,4 +1,4 @@
-"""VMM backend benchmark: loop vs batched vs surrogate throughput.
+"""VMM backend benchmark: loop vs batched throughput.
 
 Times the :mod:`repro.crossbar.engine` backends on
 
@@ -17,10 +17,7 @@ baseline fixture)::
 Emits ``BENCH_vmm.json``.  Both exact backends draw identical per-tile
 RNG streams, so every timed loop/batched pair computes the same numbers
 — the speedup is pure execution-engine overhead, not modeling
-shortcuts.  The surrogate rows are a different trade: a learned
-approximation of the non-ideal chain (gated by
-``repro.crossbar.surrogate.validate``), so each row also records the
-validation p95 error the speedup was bought with.
+shortcuts.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ import argparse
 import json
 import platform
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -37,7 +33,6 @@ from repro import __version__, nn
 from repro.basecaller import BonitoConfig, BonitoModel
 from repro.core import deploy, get_bundle
 from repro.crossbar import CrossbarBank
-from repro.crossbar import surrogate as surrogate_mod
 
 #: Bundles timed for the LSTM microbenchmark.  ``write_only`` is the
 #: engine-overhead measurement (per-call chain is deterministic, so the
@@ -172,13 +167,6 @@ def bench_lstm(smoke: bool) -> dict:
     ``W_ih`` (256×256) tiles into a 4×4 grid of 64×64 crossbars and
     ``W_hh`` (64×256) into 1×4; each timestep is a batch-1 VMM pair —
     the throughput-critical shape of the deployed basecaller.
-
-    Each bundle also gets a ``surrogate`` row: a tiny LUT surrogate is
-    trained against the batched reference, pushed through the
-    validation gate (p95 error as a fraction of full-scale output),
-    and timed on the same per-step forward.  ``surrogate_speedup`` is
-    measured against *batched* — it prices the approximation, not the
-    engine machinery the exact rows already measure.
     """
     steps = 8 if smoke else 64
     repeats = 2 if smoke else 7
@@ -210,34 +198,12 @@ def bench_lstm(smoke: bool) -> dict:
                     lambda: _lstm_forward_stacked(bank_ih, bank_hh, inputs),
                     repeats)
 
-        # Surrogate row: train against the batched reference, gate it,
-        # then time the identical per-step forward.
-        bundle = surrogate_mod.train_surrogate(
-            config, tiles=24, samples=32, epochs=300, seed=7)
-        probe = CrossbarBank(
-            rng.standard_normal((2 * CROSSBAR_SIZE, CROSSBAR_SIZE)),
-            replace(config, backend="batched"), 7, name="probe")
-        report = surrogate_mod.validate(probe, tol=0.05, bundle=bundle,
-                                        samples=32, seed=7)
-        bundle = bundle.with_validation(report)
-        sur_ih = CrossbarBank(w_ih, config, 7, backend="surrogate",
-                              name="lstm_ih")
-        sur_hh = CrossbarBank(w_hh, config, 7, backend="surrogate",
-                              name="lstm_hh")
-        sur_ih.engine.attach_surrogate(bundle)
-        sur_hh.engine.attach_surrogate(bundle)
-        timings["surrogate"] = _best_time(
-            lambda: _lstm_forward(sur_ih, sur_hh, inputs), repeats)
-
         results["bundles"][bundle_name] = {
             "loop_ms_per_forward": timings["loop"] * 1e3,
             "batched_ms_per_forward": timings["batched"] * 1e3,
             "batched_stacked_ms_per_forward": timings["stacked"] * 1e3,
-            "surrogate_ms_per_forward": timings["surrogate"] * 1e3,
             "speedup": timings["loop"] / timings["batched"],
             "stacked_speedup": timings["loop"] / timings["stacked"],
-            "surrogate_speedup": timings["batched"] / timings["surrogate"],
-            "surrogate_p95_error": report.quantiles["p95"],
         }
     return results
 
@@ -273,10 +239,7 @@ def main(argv: list[str] | None = None) -> dict:
               f"batched {row['batched_ms_per_forward']:8.2f} ms  "
               f"({row['speedup']:.2f}x)  "
               f"stacked {row['batched_stacked_ms_per_forward']:8.2f} ms  "
-              f"({row['stacked_speedup']:.2f}x)  "
-              f"surrogate {row['surrogate_ms_per_forward']:8.2f} ms  "
-              f"({row['surrogate_speedup']:.2f}x vs batched, "
-              f"p95 {row['surrogate_p95_error']:.4f})")
+              f"({row['stacked_speedup']:.2f}x)")
     deployed = payload["deployed_model"]
     print(f"deployed model ({deployed['bundle']}): "
           f"{deployed['loop']['tokens_per_s']:.1f} -> "

@@ -18,26 +18,18 @@ __all__ = ["AnalysisConfig", "DEFAULT_CONFIG", "CACHE_EXCLUDED_FIELDS"]
 # violation, so this list cannot silently rot.
 CACHE_EXCLUDED_FIELDS: dict[str, dict[str, str]] = {
     "SwordfishConfig": {
-        # The literal backend string must not reach the key: exact
-        # backends (loop/batched) are bitwise-identical and must share
-        # entries.  Result identity instead carries the backend's
-        # *salt group* — runtime.cache.job_key folds
-        # BACKEND_CACHE_SALTS[resolved backend] into every key, which
-        # is what separates approximate (surrogate) results from exact
-        # ones without splitting the exact cache.
-        "vmm_backend": "cache identity carries the resolved backend's "
-                       "salt group (job_key's vmm component), not the "
-                       "literal backend string",
+        # The two VMM backends (loop/batched) are bitwise-identical, so
+        # the backend must not split the cache: runtime.cache.job_key
+        # strips vmm_backend (after resolving it, so a garbage value
+        # still fails fast).
+        "vmm_backend": "the exact backends are bitwise-identical; "
+                       "job_key strips the backend so they share entries",
     },
     "CrossbarConfig": {
         # Same contract one level down: CrossbarConfig.backend selects
-        # the tile-engine execution path; result identity is handled by
-        # the backend salt group, and the design-point key must stay
-        # backend-free so surrogate bundles train for a *design*, not
-        # an execution path.
-        "backend": "cache identity carries the resolved backend's salt "
-                   "group; the design-point key is execution-agnostic "
-                   "by contract",
+        # the tile-engine execution path, never the result.
+        "backend": "the exact backends are bitwise-identical; the "
+                   "design-point key is execution-agnostic by contract",
     },
 }
 
@@ -49,7 +41,6 @@ class AnalysisConfig:
     # SWD002: dataclasses whose fields must reach to_dict/cache_key.
     config_classes: tuple[str, ...] = (
         "SwordfishConfig", "CrossbarConfig", "BonitoConfig", "EnhanceConfig",
-        "SurrogateMeta",
     )
     cache_excluded_fields: dict[str, dict[str, str]] = field(
         default_factory=lambda: CACHE_EXCLUDED_FIELDS)

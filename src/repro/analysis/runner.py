@@ -20,7 +20,6 @@ from .core import (
     iter_python_files,
 )
 from .rules_alias import AliasHazardRule
-from .rules_backend import BackendSaltRule
 from .rules_concurrency import (
     AsyncBlockingRule,
     CoroutineMisuseRule,
@@ -52,7 +51,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     ResourceLifecycleRule,
     ForkSafetyRule,
     CoroutineMisuseRule,
-    BackendSaltRule,
 )
 
 

@@ -155,8 +155,7 @@ def basecall_chunked(model: BonitoModel, signal: np.ndarray,
 def quality_from_logits(log_probs: np.ndarray) -> np.ndarray:
     """Phred-style per-frame quality from CTC posteriors.
 
-    Q = -10 log10(1 - p_max); used when exporting simulated basecalls to
-    FASTQ.
+    Q = -10 log10(1 - p_max).
     """
     p_max = np.exp(log_probs).max(axis=-1)
     error = np.clip(1.0 - p_max, 1e-6, 1.0)

@@ -41,11 +41,10 @@ class SwordfishConfig:
     seed: int = 0
     model: BonitoConfig = field(default_factory=BonitoConfig)
     enhance: EnhanceConfig = field(default_factory=EnhanceConfig)
-    #: VMM execution backend for the deployed banks
-    #: ("loop"/"batched"/"surrogate"); None defers to
-    #: SWORDFISH_VMM_BACKEND.  The exact backends are bitwise-identical
-    #: (a performance knob only); "surrogate" is approximate and salts
-    #: the result cache so its outputs never mix with exact ones.
+    #: VMM execution backend for the deployed banks ("loop"/"batched");
+    #: None defers to SWORDFISH_VMM_BACKEND.  The two are
+    #: bitwise-identical, so this is a performance knob only and never
+    #: reaches a cache key.
     vmm_backend: str | None = None
 
     def __post_init__(self) -> None:

@@ -257,20 +257,6 @@ class DeployedModel:
             for bank in banks:
                 bank.set_backend(backend)
 
-    def attach_surrogate(self, bundle) -> None:
-        """Pin one trained surrogate bundle to every bank's engine.
-
-        Outside library mode all banks share one
-        :class:`~repro.crossbar.CrossbarConfig` design point, so a
-        single bundle covers them; library mode jitters each bank's
-        config, and the per-engine design-point check will refuse a
-        mismatched bundle at execution time.  Overrides the
-        registry/``SWORDFISH_SURROGATE_DIR`` lookup.
-        """
-        for banks in self.banks.values():
-            for bank in banks:
-                bank.engine.attach_surrogate(bundle)
-
     def release(self) -> BonitoModel:
         """Detach the hook; the model computes exact VMMs again."""
         self.model.set_matmul_hook(None)

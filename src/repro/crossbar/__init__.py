@@ -2,7 +2,7 @@
 
 Device physics (ReRAM conductance states), stochastic variations,
 wire/IR-drop effects, DAC/ADC converter errors, programming schemes,
-the tiled VMM engine, and the measurement-library modeling mode.
+and the tiled VMM engine.
 """
 
 from .device import (
@@ -27,30 +27,17 @@ from .drift import DriftConfig, apply_retention_drift, RefreshPolicy
 from .crossbar import CrossbarConfig, CrossbarTile, CrossbarBank
 from .engine import (
     BACKENDS,
-    BACKEND_CACHE_SALTS,
     BackendResolutionError,
     DEFAULT_BACKEND,
     ENV_BACKEND,
-    EXACT_CACHE_SALT,
     TileEngine,
     TileStacks,
     available_backends,
-    backend_cache_salt,
     iter_tile_blocks,
     resolve_backend,
     spawn_generators,
     tile_grid,
 )
-from .surrogate import (
-    SurrogateBundle,
-    SurrogateError,
-    SurrogateMeta,
-    SurrogateUnavailableError,
-    SurrogateValidationError,
-    train_surrogate,
-    validate as validate_surrogate,
-)
-from .library import MeasurementLibrary
 
 __all__ = [
     "DeviceConfig", "weight_to_conductance", "conductance_to_weight",
@@ -63,12 +50,7 @@ __all__ = [
     "ProgrammingScheme", "SetResetProgramming", "WriteReadVerify",
     "DriftConfig", "apply_retention_drift", "RefreshPolicy",
     "CrossbarConfig", "CrossbarTile", "CrossbarBank",
-    "BACKENDS", "BACKEND_CACHE_SALTS", "BackendResolutionError",
-    "DEFAULT_BACKEND", "ENV_BACKEND", "EXACT_CACHE_SALT",
-    "TileEngine", "TileStacks", "available_backends", "backend_cache_salt",
+    "BACKENDS", "BackendResolutionError", "DEFAULT_BACKEND", "ENV_BACKEND",
+    "TileEngine", "TileStacks", "available_backends",
     "iter_tile_blocks", "resolve_backend", "spawn_generators", "tile_grid",
-    "SurrogateBundle", "SurrogateError", "SurrogateMeta",
-    "SurrogateUnavailableError", "SurrogateValidationError",
-    "train_surrogate", "validate_surrogate",
-    "MeasurementLibrary",
 ]

@@ -59,11 +59,9 @@ class CrossbarConfig:
     """Complete description of one crossbar design point.
 
     ``backend`` selects the bank-level VMM execution engine: ``"loop"``
-    (per-tile reference path), ``"batched"`` (vectorized, default), or
-    ``"surrogate"`` (learned approximation — needs a trained bundle,
-    see :mod:`repro.crossbar.surrogate`).  ``None`` defers to the
-    ``SWORDFISH_VMM_BACKEND`` environment variable, falling back to
-    ``"batched"``.
+    (per-tile reference path) or ``"batched"`` (vectorized, default).
+    ``None`` defers to the ``SWORDFISH_VMM_BACKEND`` environment
+    variable, falling back to ``"batched"``.
     """
 
     size: int = 64

@@ -19,21 +19,11 @@ Two backends are registered:
 * ``"batched"`` — the vectorized default.  Numerically equivalent to
   the loop backend (same per-tile RNG streams, same operation order per
   element; see ``tests/test_engine.py`` for the tolerance contract).
-* ``"surrogate"`` — a GENIEx-style learned emulator of the non-ideal
-  chain (:mod:`repro.crossbar.surrogate`): approximate, deterministic,
-  and much faster.  Requires a trained, validated
-  :class:`~repro.crossbar.surrogate.SurrogateBundle` for the bank's
-  design point.
 
 Selection: ``CrossbarConfig.backend`` wins when set; otherwise the
 ``SWORDFISH_VMM_BACKEND`` environment variable; otherwise ``"batched"``.
-
-Cache identity: backends are grouped by *result semantics* through
-``BACKEND_CACHE_SALTS``.  ``loop`` and ``batched`` share the ``exact``
-salt (bitwise-identical on the same seeds); ``surrogate`` carries its
-own, so approximate results can never be served or replayed as exact
-ones.  Every backend registered in ``BACKENDS`` must name a salt —
-analysis rule SWD014 enforces this at the registration site.
+Because the two backends are bitwise-identical, the choice never
+reaches a cache key.
 
 Equivalence rests on per-tile RNG streams: each tile owns an
 independent :class:`numpy.random.Generator` spawned from the bank's
@@ -56,15 +46,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "BACKENDS",
-    "BACKEND_CACHE_SALTS",
     "BackendResolutionError",
     "DEFAULT_BACKEND",
     "ENV_BACKEND",
-    "EXACT_CACHE_SALT",
     "TileEngine",
     "TileStacks",
     "available_backends",
-    "backend_cache_salt",
     "iter_tile_blocks",
     "resolve_backend",
     "spawn_generators",
@@ -210,16 +197,6 @@ def available_backends() -> tuple[str, ...]:
     return tuple(sorted(BACKENDS))
 
 
-def backend_cache_salt(preference: str | None = None) -> str:
-    """Cache salt for the backend ``preference`` would resolve to.
-
-    Backends with bitwise-identical results share a salt (``loop`` and
-    ``batched`` are both ``"exact"``); approximate backends get their
-    own, so their cached results can never shadow exact ones.
-    """
-    return BACKEND_CACHE_SALTS[resolve_backend(preference)]
-
-
 # ----------------------------------------------------------------------
 # Stacked per-bank state
 # ----------------------------------------------------------------------
@@ -233,10 +210,10 @@ class TileStacks:
     operands (SRAM-resident cells contribute digitally, everything else
     through the analog array).  Padded cells are zero in every operand,
     so they can never contribute to an output column.  Whole-matrix
-    assembly, RSA placement and the surrogate read the padded layout;
-    so does the fused kernel, except that read noise touches only the
-    tiles' true extents (:class:`_VmmPlan`).  Every sync rewrites the
-    stacks in place, so the plan's references to them stay current.
+    assembly and RSA placement read the padded layout; so does the
+    fused kernel, except that read noise touches only the tiles' true
+    extents (:class:`_VmmPlan`).  Every sync rewrites the stacks in
+    place, so the plan's references to them stay current.
     """
 
     effective: np.ndarray      # (T, S, S) float64, zero-padded
@@ -778,11 +755,6 @@ class TileEngine:
         self._plan: _VmmPlan | None = None
         self._workspaces: dict[int, _Workspace] = {}
         self._traced = False
-        # Surrogate-backend state: an explicitly attached bundle (None →
-        # resolve via registry/SWORDFISH_SURROGATE_DIR on first use) and
-        # the per-engine runtime derived from it + the current stacks.
-        self._surrogate_bundle = None
-        self._surrogate_runtime = None
 
     # ------------------------------------------------------------------
     # Stack maintenance
@@ -850,7 +822,6 @@ class TileEngine:
         st = self._stacks
         had_sram = st.has_sram
         st.refresh_derived()
-        self._surrogate_runtime = None
         if self._plan is not None:
             self._plan.sram = st.has_sram
         if st.has_sram != had_sram:
@@ -859,35 +830,6 @@ class TileEngine:
     def set_backend(self, backend: str | None) -> None:
         """Re-resolve the execution backend (None → env/default)."""
         self.backend = resolve_backend(backend)
-
-    # ------------------------------------------------------------------
-    # Surrogate backend state
-    # ------------------------------------------------------------------
-    def attach_surrogate(self, bundle) -> None:
-        """Pin a trained :class:`SurrogateBundle` to this engine.
-
-        Overrides registry/directory resolution; the bundle must match
-        this bank's design point (checked when the runtime is built).
-        """
-        self._surrogate_bundle = bundle
-        self._surrogate_runtime = None
-
-    def surrogate_runtime(self):
-        """The lazily-built per-engine surrogate execution state.
-
-        Resolution: an attached bundle, else the process registry /
-        ``SWORDFISH_SURROGATE_DIR`` via
-        :func:`repro.crossbar.surrogate.resolve_bundle`.  Raises
-        ``SurrogateUnavailableError`` when no bundle exists — the
-        surrogate backend never silently falls back to an exact one.
-        """
-        if self._surrogate_runtime is None:
-            from .surrogate import SurrogateRuntime, resolve_bundle
-            bundle = self._surrogate_bundle
-            if bundle is None:
-                bundle = resolve_bundle(self.config)
-            self._surrogate_runtime = SurrogateRuntime(self, bundle)
-        return self._surrogate_runtime
 
     # ------------------------------------------------------------------
     # Fused-pass state
@@ -1020,30 +962,7 @@ def _execute_batched(engine: TileEngine, x: np.ndarray) -> np.ndarray:
     return ws.out
 
 
-def _execute_surrogate(engine: TileEngine, x: np.ndarray) -> np.ndarray:
-    """Dispatch wrapper for the learned surrogate backend.
-
-    The implementation lives in :mod:`repro.crossbar.surrogate` (which
-    imports this module); the late import keeps the cycle one-way at
-    module load time.
-    """
-    from .surrogate import execute_surrogate
-    return execute_surrogate(engine, x)
-
-
 BACKENDS: dict[str, Callable[[TileEngine, np.ndarray], np.ndarray]] = {
     "loop": _execute_loop,
     "batched": _execute_batched,
-    "surrogate": _execute_surrogate,
-}
-
-#: Cache-salt policy, one entry per registered backend (SWD014 checks
-#: the two dicts stay in lockstep).  Backends sharing a salt promise
-#: bitwise-identical results on identical seeds; a distinct salt walls
-#: a backend's cached results off from every other salt group.
-EXACT_CACHE_SALT = "exact"
-BACKEND_CACHE_SALTS: dict[str, str] = {
-    "loop": EXACT_CACHE_SALT,       # reference physics
-    "batched": EXACT_CACHE_SALT,    # bitwise-identical to loop
-    "surrogate": "surrogate",       # approximate: never mixes with exact
 }

@@ -27,7 +27,6 @@ from .alignment import (
     banded_edit_distance,
     read_accuracy,
 )
-from .fastq import write_fasta, read_fasta, write_fastq, read_fastq
 
 __all__ = [
     "BASES", "DatasetSpec", "PAPER_DATASETS", "get_dataset", "random_genome",
@@ -37,5 +36,4 @@ __all__ = [
     "Read", "sample_reads", "dataset_reads",
     "AlignmentResult", "global_align", "aligned_pairs", "edit_distance",
     "banded_edit_distance", "read_accuracy",
-    "write_fasta", "read_fasta", "write_fastq", "read_fastq",
 ]

@@ -11,16 +11,10 @@ from .layers import (
     Linear,
     Conv1d,
     LSTM,
-    GRU,
     BatchNorm1d,
-    LayerNorm,
     Dropout,
     ReLU,
-    Tanh,
-    Sigmoid,
     Swish,
-    GELU,
-    Permute,
 )
 from .ctc import ctc_loss, ctc_forward_score, greedy_decode, beam_search_decode
 from .optim import SGD, Adam, clip_grad_norm, CosineSchedule, LinearWarmup
@@ -45,8 +39,7 @@ from . import init
 __all__ = [
     "Tensor", "as_tensor", "no_grad", "is_grad_enabled",
     "Module", "Parameter", "Sequential",
-    "Linear", "Conv1d", "LSTM", "GRU", "BatchNorm1d", "LayerNorm",
-    "Dropout", "ReLU", "Tanh", "Sigmoid", "Swish", "GELU", "Permute",
+    "Linear", "Conv1d", "LSTM", "BatchNorm1d", "Dropout", "ReLU", "Swish",
     "ctc_loss", "ctc_forward_score", "greedy_decode", "beam_search_decode",
     "SGD", "Adam", "clip_grad_norm", "CosineSchedule", "LinearWarmup",
     "QuantConfig", "PAPER_QUANT_CONFIGS", "get_quant_config",

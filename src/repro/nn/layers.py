@@ -1,7 +1,7 @@
 """Neural network layers for :mod:`repro.nn`.
 
 Implements every layer type the Bonito basecaller needs (and PUMA
-supports): ``Linear``, ``Conv1d``, ``LSTM``, plus normalization,
+supports): ``Linear``, ``Conv1d``, ``LSTM``, plus batch normalization,
 dropout and activation modules.
 
 Conventions
@@ -17,7 +17,6 @@ Conventions
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -30,16 +29,10 @@ __all__ = [
     "Linear",
     "Conv1d",
     "LSTM",
-    "GRU",
     "BatchNorm1d",
-    "LayerNorm",
     "Dropout",
     "ReLU",
-    "Tanh",
-    "Sigmoid",
     "Swish",
-    "GELU",
-    "Permute",
 ]
 
 # A matmul hook takes (inputs, weights, slot) as plain arrays plus the
@@ -255,98 +248,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-class GRU(Module):
-    """Single-layer unidirectional GRU over ``(batch, time, channels)``.
-
-    Provided alongside :class:`LSTM` because several basecaller
-    families (e.g. Guppy variants, Fast-Bonito ablations) swap the
-    recurrent cell; Swordfish maps its two weight matrices onto
-    crossbars exactly like an LSTM's.  Gate ordering is ``r, z, n``.
-    """
-
-    def __init__(self, input_size: int, hidden_size: int,
-                 reverse: bool = False,
-                 rng: np.random.Generator | None = None):
-        super().__init__()
-        rng = rng or _init.default_rng()
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        self.reverse = reverse
-        self.weight_ih = Parameter(
-            _init.xavier_uniform((input_size, 3 * hidden_size), rng,
-                                 fan_in=input_size, fan_out=hidden_size)
-        )
-        recurrent = np.concatenate(
-            [_init.orthogonal((hidden_size, hidden_size), rng)
-             for _ in range(3)], axis=1,
-        )
-        self.weight_hh = Parameter(recurrent)
-        self.bias = Parameter(np.zeros(3 * hidden_size))
-        self.matmul_hook: MatmulHook | None = None
-
-    def vmm_shapes(self) -> list[tuple[int, int]]:
-        return [
-            (self.input_size, 3 * self.hidden_size),
-            (self.hidden_size, 3 * self.hidden_size),
-        ]
-
-    def forward(self, x: Tensor) -> Tensor:
-        x = as_tensor(x)
-        if self.matmul_hook is not None:
-            return Tensor(self._forward_deployed(x.data))
-        batch, time, _ = x.shape
-        hidden = self.hidden_size
-        h = Tensor(np.zeros((batch, hidden)))
-        x_proj = x @ self.weight_ih + self.bias
-        steps = range(time - 1, -1, -1) if self.reverse else range(time)
-        outputs: list[Tensor] = []
-        for t in steps:
-            h_proj = h @ self.weight_hh
-            r = (x_proj[:, t, :hidden] + h_proj[:, :hidden]).sigmoid()
-            z = (x_proj[:, t, hidden:2 * hidden]
-                 + h_proj[:, hidden:2 * hidden]).sigmoid()
-            n = (x_proj[:, t, 2 * hidden:]
-                 + r * h_proj[:, 2 * hidden:]).tanh()
-            h = (1.0 - z) * n + z * h
-            outputs.append(h)
-        if self.reverse:
-            outputs.reverse()
-        return Tensor.stack(outputs, axis=1)
-
-    def _forward_deployed(self, x: np.ndarray) -> np.ndarray:
-        """Forward pass with matmuls routed through ``matmul_hook``.
-
-        Pure-NumPy (no tape); used only for crossbar-deployed
-        inference.  As in :class:`LSTM`, the input projection has no
-        sequential dependency, so all timesteps go through the ``ih``
-        bank as one stacked VMM; only the recurrent projection runs per
-        timestep.
-        """
-        batch, time, _ = x.shape
-        hidden = self.hidden_size
-        hook = self.matmul_hook
-        assert hook is not None
-        h = np.zeros((batch, hidden))
-        x_proj = hook(x.reshape(-1, self.input_size), self.weight_ih.data, 0)
-        x_proj = x_proj.reshape(batch, time, 3 * hidden) + self.bias.data
-        steps = range(time - 1, -1, -1) if self.reverse else range(time)
-        out = np.empty((batch, time, hidden))
-        for t in steps:
-            h_proj = hook(h, self.weight_hh.data, 1)
-            r = _sigmoid(x_proj[:, t, :hidden] + h_proj[:, :hidden])
-            z = _sigmoid(x_proj[:, t, hidden:2 * hidden]
-                         + h_proj[:, hidden:2 * hidden])
-            n = np.tanh(x_proj[:, t, 2 * hidden:]
-                        + r * h_proj[:, 2 * hidden:])
-            h = (1.0 - z) * n + z * h
-            out[:, t, :] = h
-        return out
-
-    def __repr__(self) -> str:
-        direction = "<-" if self.reverse else "->"
-        return f"GRU({self.input_size}, {self.hidden_size}, {direction})"
-
-
 class BatchNorm1d(Module):
     """Batch normalization over ``(batch, channels, time)`` inputs."""
 
@@ -383,29 +284,6 @@ class BatchNorm1d(Module):
         return x_hat * self.gamma.reshape(1, -1, 1) + self.beta.reshape(1, -1, 1)
 
 
-class LayerNorm(Module):
-    """Layer normalization over the last axis."""
-
-    def __init__(self, num_features: int, eps: float = 1e-5):
-        super().__init__()
-        self.num_features = num_features
-        self.eps = eps
-        self.gamma = Parameter(np.ones(num_features))
-        self.beta = Parameter(np.zeros(num_features))
-
-    def forward(self, x: Tensor) -> Tensor:
-        x = as_tensor(x)
-        if x.shape[-1] != self.num_features:
-            raise ValueError(
-                f"LayerNorm expected last dim {self.num_features}, "
-                f"got {x.shape[-1]}"
-            )
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        x_hat = (x - mean) / (var + self.eps) ** 0.5
-        return x_hat * self.gamma + self.beta
-
-
 class Dropout(Module):
     """Inverted dropout; identity in eval mode."""
 
@@ -429,40 +307,8 @@ class ReLU(Module):
         return as_tensor(x).relu()
 
 
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return as_tensor(x).tanh()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return as_tensor(x).sigmoid()
-
-
 class Swish(Module):
     """SiLU activation, the default in Bonito's convolutional encoder."""
 
     def forward(self, x: Tensor) -> Tensor:
         return as_tensor(x).swish()
-
-
-class GELU(Module):
-    """Gaussian Error Linear Unit (tanh approximation)."""
-
-    _C = math.sqrt(2.0 / math.pi)
-
-    def forward(self, x: Tensor) -> Tensor:
-        x = as_tensor(x)
-        inner = (x + x * x * x * 0.044715) * self._C
-        return x * (inner.tanh() + 1.0) * 0.5
-
-
-class Permute(Module):
-    """Axis permutation as a layer (e.g. (B,C,T) -> (B,T,C))."""
-
-    def __init__(self, *axes: int):
-        super().__init__()
-        self.axes = axes
-
-    def forward(self, x: Tensor) -> Tensor:
-        return as_tensor(x).transpose(*self.axes)

@@ -72,50 +72,42 @@ def default_salt() -> str:
     return f"repro-{__version__}"
 
 
-def _vmm_salt(kwargs: Any) -> tuple[Any, str]:
-    """Normalize backend selection out of rendered kwargs, return salt.
+def _strip_backend(kwargs: Any) -> Any:
+    """Drop backend selection from rendered kwargs.
 
     The ``vmm_backend`` knob (top-level kwarg or inside a rendered
-    config dict) must not split the cache between bitwise-identical
-    backends (explicit ``loop`` vs ``batched`` vs unset-with-default
-    all share the ``exact`` salt), but approximate backends MUST key
-    differently — a surrogate sweep's results can never be replayed as
-    exact ones.  So the literal backend string is stripped from the
-    hashed rendering and replaced by its resolved cache-salt group.
-    A job that names no backend resolves through the environment
-    (``SWORDFISH_VMM_BACKEND``), which also fail-fasts on garbage env
-    values at key-computation time — before any work is scheduled.
+    config dict) names a bitwise-identical execution path, so explicit
+    ``loop`` vs ``batched`` vs unset all share one cache entry.  The
+    preference is still resolved here: a garbage value — including one
+    set through ``SWORDFISH_VMM_BACKEND`` — fails at key-computation
+    time, before any work is scheduled.
     """
-    from ..crossbar.engine import backend_cache_salt
+    from ..crossbar.engine import resolve_backend
 
     preference = None
     if isinstance(kwargs, dict):
-        explicit = kwargs.pop("vmm_backend", None)
-        if explicit is not None:
-            preference = explicit
+        preference = kwargs.pop("vmm_backend", None)
         for rendered in kwargs.values():
             if isinstance(rendered, dict) and "vmm_backend" in rendered:
                 nested = rendered.pop("vmm_backend")
-                if preference is None and nested is not None:
+                if preference is None:
                     preference = nested
-    return kwargs, backend_cache_salt(preference)
+    resolve_backend(preference)
+    return kwargs
 
 
 def job_key(job, salt: str | None = None) -> str:
     """Content address of one job (stable across processes and runs).
 
-    The payload carries the code-version ``salt``, the job spec, and a
-    ``vmm`` component naming the resolved backend's cache-salt group
-    (see :data:`repro.crossbar.engine.BACKEND_CACHE_SALTS`).
+    The payload carries the code-version ``salt`` and the job spec,
+    minus any backend selection (see :func:`_strip_backend`).
     """
     if getattr(job, "key", None):
         return job.key
-    kwargs, vmm = _vmm_salt(_jsonable(job.kwargs))
     payload = canonical_json({
         "fn": job.fn,
-        "kwargs": kwargs,
+        "kwargs": _strip_backend(_jsonable(job.kwargs)),
         "salt": salt if salt is not None else default_salt(),
-        "vmm": vmm,
     })
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

@@ -46,14 +46,7 @@ from ..basecaller import BonitoModel
 from ..basecaller.model import BLANK
 from ..core import deploy
 from ..core.nonidealities import NonidealityBundle, get_bundle
-from ..crossbar.engine import (
-    EXACT_CACHE_SALT,
-    backend_cache_salt,
-    resolve_backend,
-)
-from ..crossbar.surrogate import SurrogateError
 from ..runtime import ResultCache
-from .protocol import ProtocolError
 
 __all__ = ["BasecallResult", "BasecallEngine", "EngineConfig",
            "model_fingerprint"]
@@ -78,10 +71,8 @@ class EngineConfig:
             "write_variation": self.write_variation,
             "seed": self.seed,
             "use_wrv": self.use_wrv,
-            # backend is deliberately excluded here: cache identity
-            # carries the backend's *salt group* instead (exact
-            # backends are bitwise-identical and share entries; the
-            # surrogate salts separately — see _cache_prefix).
+            # backend is deliberately excluded: the two VMM backends
+            # are bitwise-identical, so they share cache entries.
             "beam_width": self.beam_width,
         }
 
@@ -131,59 +122,17 @@ class BasecallEngine:
             backend=self.config.backend,
         )
         self.model = clone
-        self.backend = resolve_backend(self.config.backend)
-        self.backend_salt = backend_cache_salt(self.config.backend)
-        self._surrogate_keys = self._gate_surrogate()
         self._epoch = self.deployed.rng_snapshot()
         self._key_prefix = self._cache_prefix(model)
-
-    def _gate_surrogate(self) -> tuple[str, ...]:
-        """Refuse to serve an approximate backend without a passed gate.
-
-        For non-exact backends every deployed engine must resolve a
-        *validated* surrogate bundle (one stamped by
-        ``SurrogateBundle.with_validation`` after ``surrogate.validate``
-        met its tolerance); anything else is a structured
-        ``backend_unvalidated`` protocol error.  Returns the distinct
-        bundle cache keys so they can join the serve cache identity.
-        """
-        if self.backend_salt == EXACT_CACHE_SALT:
-            return ()
-        keys = set()
-        for banks in self.deployed.banks.values():
-            for bank in banks:
-                try:
-                    bundle = bank.engine.surrogate_runtime().bundle
-                except SurrogateError as exc:
-                    raise ProtocolError(
-                        "backend_unvalidated",
-                        f"cannot serve vmm_backend={self.backend!r}: "
-                        f"{exc}") from exc
-                if not bundle.validated:
-                    raise ProtocolError(
-                        "backend_unvalidated",
-                        f"cannot serve vmm_backend={self.backend!r}: "
-                        f"surrogate bundle {bundle.cache_key()} has not "
-                        f"passed the accuracy-validation gate (run "
-                        f"surrogate.validate + with_validation)")
-                keys.add(bundle.cache_key())
-        return tuple(sorted(keys))
 
     def _cache_prefix(self, model: BonitoModel) -> str:
         crossbar_key = self.bundle.crossbar_config(
             self.config.crossbar_size,
             self.config.write_variation).cache_key()
-        parts = (f"serve:{model_fingerprint(model)}:{crossbar_key}:"
-                 f"bundle={self.bundle.name}:seed={self.config.seed}:"
-                 f"wrv={int(self.config.use_wrv)}:"
-                 f"beam={self.config.beam_width}:"
-                 f"vmm={self.backend_salt}")
-        if self._surrogate_keys:
-            # Approximate results are additionally keyed by the exact
-            # surrogate artifact (weights + tolerance + training
-            # provenance) that produced them.
-            parts += ":" + ",".join(self._surrogate_keys)
-        return parts
+        return (f"serve:{model_fingerprint(model)}:{crossbar_key}:"
+                f"bundle={self.bundle.name}:seed={self.config.seed}:"
+                f"wrv={int(self.config.use_wrv)}:"
+                f"beam={self.config.beam_width}")
 
     def cache_key(self, signal: np.ndarray) -> str:
         """Content address of one read on this engine's design point."""

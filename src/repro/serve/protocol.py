@@ -57,8 +57,6 @@ ERROR_CODES = (
     "divergence",     # numeric health guard tripped during the VMM pass
     "draining",       # server is shutting down; request not accepted
     "internal",       # unexpected server-side failure
-    "backend_unvalidated",  # approximate VMM backend without a passed
-                            # accuracy-validation gate; refuse to serve
 )
 
 _REQUEST_OPS = ("basecall", "chunk", "ping", "metrics")

@@ -73,7 +73,6 @@ def rules_of(result) -> set[str]:
     ("SWD011", "swd011"),
     ("SWD012", "swd012"),
     ("SWD013", "swd013"),
-    ("SWD014", "swd014"),
 ])
 def test_bad_fixture_fires_rule(rule_id: str, stem: str):
     result = analyze(FIXTURES / f"{stem}_bad.py")
@@ -86,7 +85,7 @@ def test_bad_fixture_fires_rule(rule_id: str, stem: str):
 
 @pytest.mark.parametrize("stem", [
     "swd001", "swd002", "swd003", "swd004", "swd005", "swd007", "swd008",
-    "swd009", "swd010", "swd011", "swd012", "swd013", "swd014",
+    "swd009", "swd010", "swd011", "swd012", "swd013",
 ])
 def test_good_fixture_is_clean(stem: str):
     result = analyze(FIXTURES / f"{stem}_good.py")
@@ -405,7 +404,7 @@ def test_cli_list_rules(capsys):
     out = capsys.readouterr().out
     for rule_id in ("SWD001", "SWD002", "SWD003", "SWD004", "SWD005",
                     "SWD006", "SWD007", "SWD008", "SWD009", "SWD010",
-                    "SWD011", "SWD012", "SWD013", "SWD014"):
+                    "SWD011", "SWD012", "SWD013"):
         assert rule_id in out
 
 
@@ -419,7 +418,7 @@ def test_cli_sarif_report(tmp_path, capsys):
     run = payload["runs"][0]
     assert run["tool"]["driver"]["name"] == "swordfish-analysis"
     rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    assert {"SWD001", "SWD009", "SWD013", "SWD014"} <= rule_ids
+    assert {"SWD001", "SWD009", "SWD013"} <= rule_ids
     entry = run["results"][0]
     assert entry["ruleId"] == "SWD001"
     assert entry["baselineState"] == "new"
@@ -490,11 +489,10 @@ def test_baseline_contains_no_error_severity_debt():
     data = json.loads(BASELINE.read_text(encoding="utf-8"))
     rules = {entry["rule"] for entry in data["findings"]}
     # Determinism (SWD001), config coherence (SWD002), export
-    # coherence (SWD006), coroutine misuse (SWD013), and backend
-    # cache-salt policy (SWD014) are errors: they must be fixed, never
-    # baselined.  examples/ and benchmarks/ are already fully seeded.
-    assert not rules & {"SWD000", "SWD001", "SWD002", "SWD006", "SWD013",
-                        "SWD014"}
+    # coherence (SWD006) and coroutine misuse (SWD013) are errors: they
+    # must be fixed, never baselined.  examples/ and benchmarks/ are
+    # already fully seeded.
+    assert not rules & {"SWD000", "SWD001", "SWD002", "SWD006", "SWD013"}
 
 
 def test_examples_and_benchmarks_have_no_ambient_randomness():

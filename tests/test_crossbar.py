@@ -11,7 +11,6 @@ from repro.crossbar import (
     CrossbarTile,
     DACConfig,
     DeviceConfig,
-    MeasurementLibrary,
     SetResetProgramming,
     VariationConfig,
     WireConfig,
@@ -317,36 +316,3 @@ class TestCrossbarBank:
             bank = CrossbarBank(weights, config, np.random.default_rng(1))
             errors[size] = np.abs(bank.vmm(x) - x @ weights).mean()
         assert errors[256] > errors[64]
-
-
-class TestMeasurementLibrary:
-    def test_instances_differ(self, rng):
-        weights = rng.standard_normal((32, 32))
-        config = clean_config(size=32,
-                              variation=VariationConfig(write_variation=0.1))
-        lib = MeasurementLibrary(weights, config, num_instances=4, seed=2)
-        x = rng.standard_normal((1, 32))
-        outputs = [lib.query(x, instance=i) for i in range(4)]
-        assert not np.allclose(outputs[0], outputs[1])
-
-    def test_random_query_draws(self, rng):
-        weights = rng.standard_normal((16, 16))
-        config = clean_config(size=16,
-                              variation=VariationConfig(write_variation=0.2))
-        lib = MeasurementLibrary(weights, config, num_instances=8, seed=3)
-        x = rng.standard_normal((1, 16))
-        draws = {lib.query(x).tobytes() for _ in range(20)}
-        assert len(draws) > 1
-
-    def test_error_severity_available(self, rng):
-        weights = rng.standard_normal((16, 16))
-        config = clean_config(size=16,
-                              variation=VariationConfig(write_variation=0.2))
-        lib = MeasurementLibrary(weights, config, num_instances=2, seed=4)
-        assert lib.error_severity().shape == (16, 16)
-        assert len(lib) == 2
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            MeasurementLibrary(np.zeros((4, 4)), clean_config(size=4),
-                               num_instances=0)

@@ -12,14 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import BUNDLES, get_bundle
+from repro.core import BUNDLES, SwordfishConfig, get_bundle
 from repro.crossbar import (
     ADCConfig,
+    BackendResolutionError,
     CrossbarBank,
     CrossbarConfig,
     DACConfig,
     DeviceConfig,
     DriftConfig,
+    ENV_BACKEND,
     TileEngine,
     VariationConfig,
     WireConfig,
@@ -135,6 +137,29 @@ class TestBackendSelection:
         bank.set_backend("batched")
         assert bank.backend == "batched"
         assert bank.vmm(x).shape == y_loop.shape
+
+
+class TestBackendResolution:
+    def test_explicit_garbage(self):
+        with pytest.raises(BackendResolutionError) as err:
+            resolve_backend("vectorized")
+        assert err.value.requested == "vectorized"
+        assert err.value.source == "explicit configuration"
+        assert err.value.available == available_backends()
+
+    def test_env_garbage_fails_fast(self, monkeypatch):
+        monkeypatch.setenv(ENV_BACKEND, "gpu")
+        with pytest.raises(BackendResolutionError) as err:
+            resolve_backend()
+        assert ENV_BACKEND in err.value.source
+        # Still a ValueError for pre-existing call sites.
+        assert isinstance(err.value, ValueError)
+
+    def test_config_surfaces_raise_structured(self):
+        with pytest.raises(BackendResolutionError):
+            CrossbarConfig(backend="nope")
+        with pytest.raises(BackendResolutionError):
+            SwordfishConfig(vmm_backend="nope")
 
 
 # ----------------------------------------------------------------------

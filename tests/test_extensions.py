@@ -1,73 +1,10 @@
-"""Tests for the extension layers (GRU, LayerNorm, GELU) and chunked
-long-read basecalling."""
+"""Tests for chunked long-read basecalling."""
 
 import numpy as np
 import pytest
 
-from repro import nn
 from repro.basecaller import basecall_chunked, basecall_signal
-from repro.genomics import normalize_signal, random_genome, sample_reads, simulate_squiggle, read_accuracy
-from .test_tensor import check_grad
-
-
-class TestGRU:
-    def test_shapes_and_vmm(self, rng):
-        gru = nn.GRU(3, 5, rng=rng)
-        out = gru(nn.Tensor(rng.standard_normal((2, 7, 3))))
-        assert out.shape == (2, 7, 5)
-        assert gru.vmm_shapes() == [(3, 15), (5, 15)]
-
-    def test_grad(self, rng):
-        gru = nn.GRU(2, 3, rng=rng)
-        x = nn.Tensor(rng.standard_normal((1, 4, 2)), requires_grad=True)
-        check_grad(lambda: (gru(x) ** 2).sum(), gru.weight_ih, tol=1e-5)
-        check_grad(lambda: (gru(x) ** 2).sum(), gru.weight_hh, tol=1e-5)
-        check_grad(lambda: (gru(x) ** 2).sum(), x, tol=1e-5)
-
-    def test_reverse_flips_time(self, rng):
-        x = rng.standard_normal((1, 6, 3))
-        fwd = nn.GRU(3, 4, reverse=False, rng=np.random.default_rng(0))
-        rev = nn.GRU(3, 4, reverse=True, rng=np.random.default_rng(0))
-        out_fwd = fwd(nn.Tensor(x[:, ::-1].copy())).data
-        out_rev = rev(nn.Tensor(x)).data
-        assert np.allclose(out_fwd[:, ::-1], out_rev)
-
-    def test_bounded_output(self, rng):
-        gru = nn.GRU(3, 4, rng=rng)
-        out = gru(nn.Tensor(rng.standard_normal((2, 20, 3)) * 10))
-        assert np.abs(out.data).max() <= 1.0 + 1e-9  # tanh-bounded state
-
-
-class TestLayerNormGELU:
-    def test_layernorm_normalizes_rows(self, rng):
-        ln = nn.LayerNorm(8)
-        x = nn.Tensor(rng.standard_normal((4, 8)) * 7 + 3)
-        out = ln(x).data
-        assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-6)
-        assert np.allclose(out.std(axis=-1), 1.0, atol=1e-2)
-
-    def test_layernorm_shape_check(self, rng):
-        with pytest.raises(ValueError):
-            nn.LayerNorm(8)(nn.Tensor(rng.standard_normal((2, 4))))
-
-    def test_layernorm_grad(self, rng):
-        ln = nn.LayerNorm(5)
-        x = nn.Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-        check_grad(lambda: (ln(x) ** 2).sum(), ln.gamma, tol=1e-5)
-        check_grad(lambda: (ln(x) ** 2).sum(), x, tol=1e-5)
-
-    def test_gelu_known_values(self):
-        gelu = nn.GELU()
-        x = nn.Tensor(np.array([0.0, 10.0, -10.0]))
-        out = gelu(x).data
-        assert np.isclose(out[0], 0.0)
-        assert np.isclose(out[1], 10.0, atol=1e-3)
-        assert np.isclose(out[2], 0.0, atol=1e-3)
-
-    def test_gelu_grad(self, rng):
-        gelu = nn.GELU()
-        x = nn.Tensor(rng.standard_normal(6), requires_grad=True)
-        check_grad(lambda: (gelu(x) ** 2).sum(), x, tol=1e-5)
+from repro.genomics import random_genome, read_accuracy, sample_reads
 
 
 class TestChunkedBasecalling:

@@ -1,5 +1,7 @@
 """Tests for the genomics substrate (genome, pore model, signal, reads)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -155,3 +157,37 @@ class TestReads:
     def test_short_genome_rejected(self, rng):
         with pytest.raises(ValueError):
             g.sample_reads(g.random_genome(10, seed=1), 1, rng)
+
+
+def _signal_digest(arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+class TestSignalDigests:
+    """Generated reads are pinned bit for bit: every figure, cache entry
+    and perfbench accuracy check consumes them, so a change to the
+    simulator's arithmetic (e.g. the OU drift recursion) must not move
+    a single sample."""
+
+    DATASETS = {
+        "D1": "632a8afb06d2b7ffec787a30ce71a18db32dfd7759ef9d7da3887cbb6ac9132d",
+        "D2": "f48bd9d42c5d425694915d85f24dc4eb8c0679d270289a6ca6fb94a436d84089",
+        "D3": "6ac85d8508b9e28c450df6ad9ee0f38f7ce60baf9cdecec39a7ce9e2d2a85f79",
+        "D4": "a68045744e43a528ce51c54f49f70cac7312d21f21b39845b8577e13952a5f71",
+    }
+    LONG_READ = "00d132465a1261db7ced90f8aeb2a1983b6bec3db43857dd9e0f9c1dfd25561c"
+
+    @pytest.mark.parametrize("name", sorted(DATASETS))
+    def test_dataset_reads_pinned(self, name):
+        reads = g.dataset_reads(name, num_reads=3)
+        arrays = [a for read in reads for a in (read.raw_signal, read.signal)]
+        assert _signal_digest(arrays) == self.DATASETS[name]
+
+    def test_long_read_pinned(self):
+        genome = g.random_genome(1_200, seed=5)
+        raw, _ = g.simulate_squiggle(genome, np.random.default_rng(17))
+        assert len(raw) >= 5_000
+        assert _signal_digest([raw]) == self.LONG_READ

@@ -1,75 +1,11 @@
-"""Tests for FASTA/FASTQ I/O and model checkpointing."""
+"""Tests for model checkpointing."""
 
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.basecaller import BonitoConfig, BonitoModel
-from repro.genomics import (
-    encode_bases,
-    read_fasta,
-    read_fastq,
-    write_fasta,
-    write_fastq,
-)
 from tests.conftest import TINY_CONFIG
-
-
-class TestFasta:
-    def test_roundtrip(self, tmp_path):
-        records = {
-            "chr1": encode_bases("ACGTACGTACGT"),
-            "chr2": encode_bases("TTTTAAAACCCC"),
-        }
-        path = write_fasta(tmp_path / "ref.fasta", records, width=5)
-        loaded = read_fasta(path)
-        assert set(loaded) == {"chr1", "chr2"}
-        for name in records:
-            assert np.array_equal(loaded[name], records[name])
-
-    def test_line_wrapping(self, tmp_path):
-        path = write_fasta(tmp_path / "ref.fasta",
-                           {"x": encode_bases("A" * 23)}, width=10)
-        lines = path.read_text().splitlines()
-        assert lines[0] == ">x"
-        assert [len(l) for l in lines[1:]] == [10, 10, 3]
-
-    def test_header_metadata_stripped(self, tmp_path):
-        (tmp_path / "in.fasta").write_text(">seq1 some description\nACGT\n")
-        loaded = read_fasta(tmp_path / "in.fasta")
-        assert list(loaded) == ["seq1"]
-
-
-class TestFastq:
-    def test_roundtrip(self, tmp_path):
-        records = [
-            ("r1", encode_bases("ACGT"), np.array([30, 20, 10, 40])),
-            ("r2", encode_bases("GG"), np.array([5, 5])),
-        ]
-        path = write_fastq(tmp_path / "reads.fastq", iter(records))
-        loaded = read_fastq(path)
-        assert len(loaded) == 2
-        for (n1, b1, q1), (n2, b2, q2) in zip(records, loaded):
-            assert n1 == n2
-            assert np.array_equal(b1, b2)
-            assert np.array_equal(q1, q2)
-
-    def test_quality_length_mismatch(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_fastq(tmp_path / "bad.fastq",
-                        iter([("r", encode_bases("ACG"), np.array([1]))]))
-
-    def test_malformed_file(self, tmp_path):
-        (tmp_path / "bad.fastq").write_text("@r\nACGT\n+\n")
-        with pytest.raises(ValueError):
-            read_fastq(tmp_path / "bad.fastq")
-
-    def test_quality_clipped(self, tmp_path):
-        path = write_fastq(tmp_path / "r.fastq",
-                           iter([("r", encode_bases("A"),
-                                  np.array([1000]))]))
-        _, _, quals = read_fastq(path)[0]
-        assert quals[0] == 60
 
 
 class TestCheckpoint:

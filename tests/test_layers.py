@@ -192,10 +192,6 @@ class TestContainers:
         assert len(list(seq)) == 3
         assert isinstance(seq[1], nn.ReLU)
 
-    def test_permute(self, rng):
-        x = nn.Tensor(rng.standard_normal((2, 3, 4)))
-        assert nn.Permute(0, 2, 1)(x).shape == (2, 4, 3)
-
     def test_named_parameters_and_state_dict(self, rng):
         seq = nn.Sequential(nn.Linear(3, 3, rng=rng))
         names = dict(seq.named_parameters())

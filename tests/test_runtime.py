@@ -13,11 +13,13 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.core import EnhanceConfig, SwordfishConfig
+from repro.crossbar import ENV_BACKEND, BackendResolutionError
 from repro.runtime import (
     CircuitOpenError,
     Job,
@@ -42,6 +44,11 @@ FAST_ENHANCE = EnhanceConfig(retrain_epochs=1, online_epochs=1,
 # ----------------------------------------------------------------------
 def _square(x: int) -> int:
     return x * x
+
+
+def _echo(x, vmm_backend=None):
+    """Sweep job target; the backend kwarg only shapes the cache key."""
+    return x
 
 
 def _simulate(seed: int) -> dict:
@@ -132,6 +139,57 @@ class TestConfigSerialization:
                             seed=99)
         assert c.cache_key() != a.cache_key()
         assert a.cache_key().startswith("swordfish_fpp16_16_x64_")
+
+    def test_cache_key_ignores_backend(self):
+        assert (SwordfishConfig(vmm_backend="loop").cache_key()
+                == SwordfishConfig(vmm_backend="batched").cache_key())
+
+
+class TestBackendKeys:
+    """The two VMM backends are bitwise-identical, so naming one never
+    splits the result cache; a garbage name still fails at key time."""
+
+    def _key(self, monkeypatch, env=None, **kwargs):
+        if env is None:
+            monkeypatch.delenv(ENV_BACKEND, raising=False)
+        else:
+            monkeypatch.setenv(ENV_BACKEND, env)
+        return job_key(Job(fn="tests.test_runtime:_echo", kwargs=kwargs),
+                       salt="t")
+
+    def test_exact_backends_share_one_key(self, monkeypatch):
+        default = self._key(monkeypatch, x=1)
+        assert self._key(monkeypatch, x=1, vmm_backend="loop") == default
+        assert self._key(monkeypatch, x=1, vmm_backend="batched") == default
+        assert self._key(monkeypatch, env="loop", x=1) == default
+
+    def test_nested_config_backend_is_normalized(self, monkeypatch):
+        monkeypatch.delenv(ENV_BACKEND, raising=False)
+        base = SwordfishConfig()
+        keys = {job_key(Job(fn="f", kwargs={"config": cfg}), salt="t")
+                for cfg in (base, replace(base, vmm_backend="loop"),
+                            replace(base, vmm_backend="batched"))}
+        assert len(keys) == 1
+
+    def test_env_garbage_fails_at_key_time(self, monkeypatch):
+        monkeypatch.setenv(ENV_BACKEND, "garbage")
+        with pytest.raises(BackendResolutionError):
+            job_key(Job(fn="f", kwargs={"x": 1}), salt="t")
+
+    def test_exact_backend_sweeps_share_entries(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(ENV_BACKEND, raising=False)
+        cache = ResultCache(tmp_path / "cache")
+
+        def run(backend):
+            plan = SweepPlan(f"sweep_{backend}", [
+                Job(fn="tests.test_runtime:_echo",
+                    kwargs={"x": i, "vmm_backend": backend})
+                for i in range(4)
+            ])
+            return SweepRunner(workers=1, cache=cache, salt="t").run(plan)
+
+        assert run("batched").summary["cache_hits"] == 0
+        assert run("loop").summary["cache_hits"] == 4
 
 
 # ----------------------------------------------------------------------

@@ -724,8 +724,10 @@ class _ScriptedServer:
     - ``"ok"``       — answer every request with ``{"status": "ok"}``.
     - ``"draining"`` — answer every request with the server's drain
       refusal (the exact shape ``BasecallServer`` emits).
-    - ``"reset"``    — hard-close the connection immediately (RST via
-      ``SO_LINGER 0``), before any request is read.
+    - ``"reset"``    — read the request line, then hard-close the
+      connection (RST via ``SO_LINGER 0``): a mid-request reset.  The
+      request is read first so the RST cannot race the client's
+      ``connect()``, which runs outside the retry loop.
     - ``"other"``    — answer with a non-retryable error response.
     """
 
@@ -760,6 +762,8 @@ class _ScriptedServer:
 
         try:
             if behavior == "reset":
+                with conn.makefile("rb") as fh:
+                    fh.readline()
                 conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
                                 struct.pack("ii", 1, 0))
                 return
