@@ -19,7 +19,6 @@ from .decode import (
     basecall_read,
     basecall_reads,
     basecall_chunked,
-    quality_from_logits,
 )
 from .evaluate import AccuracyReport, evaluate_accuracy
 from .registry import cache_dir, default_model, train_default_model
@@ -31,7 +30,7 @@ __all__ = [
     "train_model", "batch_iterator",
     "basecall_signal", "basecall_signals", "basecall_read",
     "basecall_reads",
-    "basecall_chunked", "quality_from_logits",
+    "basecall_chunked",
     "AccuracyReport", "evaluate_accuracy",
     "cache_dir", "default_model", "train_default_model",
     "HMMBasecaller",

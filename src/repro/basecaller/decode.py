@@ -9,7 +9,7 @@ from ..genomics import Read
 from .model import BLANK, BonitoModel
 
 __all__ = ["basecall_signal", "basecall_signals", "basecall_read",
-           "basecall_reads", "basecall_chunked", "quality_from_logits"]
+           "basecall_reads", "basecall_chunked"]
 
 
 def _decode_log_probs(log_probs: np.ndarray, beam_width: int) -> np.ndarray:
@@ -150,13 +150,3 @@ def basecall_chunked(model: BonitoModel, signal: np.ndarray,
         hi = frames - trim if stop < len(signal) else frames
         pieces.append(_decode_log_probs(log_probs[lo:hi], beam_width))
     return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int8)
-
-
-def quality_from_logits(log_probs: np.ndarray) -> np.ndarray:
-    """Phred-style per-frame quality from CTC posteriors.
-
-    Q = -10 log10(1 - p_max).
-    """
-    p_max = np.exp(log_probs).max(axis=-1)
-    error = np.clip(1.0 - p_max, 1e-6, 1.0)
-    return (-10.0 * np.log10(error)).astype(np.int64)

@@ -452,7 +452,7 @@ class _VmmPlan:
         dac, adc, wire = config.dac, config.adc, config.wire
         size = config.size
         grid_rows, grid_cols = engine.grid
-        rows_total, cols_total = engine.bank.shape
+        rows_total, cols_total = engine.shape
         self.tiles = engine.tiles
         self.count = engine.num_tiles
         self.size = size
@@ -514,17 +514,19 @@ class _VmmPlan:
         #: Whether any cell is SRAM-resident; kept current by the syncs.
         self.sram = st.has_sram
 
-        stages: list[tuple[str, Callable[[_Workspace], None]]] = []
+        # Plain functions, called as ``stage(plan, ws)``: bound methods
+        # would make the plan a reference cycle that only the GC frees.
+        stages: list[tuple[str, Callable[[_VmmPlan, _Workspace], None]]] = []
         if rng.active:
-            stages.append(("vmm.rng", self._draw))
-        stages.append(("vmm.dac", self._dac))
+            stages.append(("vmm.rng", _VmmPlan._draw))
+        stages.append(("vmm.dac", _VmmPlan._dac))
         if self.jitter is not None:
-            stages.append(("vmm.conductance", self._conductance))
-        stages.append(("vmm.matmul", self._matmul))
+            stages.append(("vmm.conductance", _VmmPlan._conductance))
+        stages.append(("vmm.matmul", _VmmPlan._matmul))
         if self.kappa is not None or self.coupling > 0:
-            stages.append(("vmm.wires", self._wires))
-        stages.append(("vmm.adc", self._adc))
-        stages.append(("vmm.digital", self._digital))
+            stages.append(("vmm.wires", _VmmPlan._wires))
+        stages.append(("vmm.adc", _VmmPlan._adc))
+        stages.append(("vmm.digital", _VmmPlan._digital))
         self.stages = stages
 
     # ------------------------------------------------------------------
@@ -681,10 +683,10 @@ class _Workspace:
     Built from a :class:`_VmmPlan`, which allocates only the buffers
     its stages use, each ``(tiles, batch, size)`` or a per-sample
     ``(tiles, batch, 1)`` factor; the DAC output holds one tile's worth
-    when every tile drives the same voltages.  Workspaces live in the
-    engine's bounded LRU (one per recent batch size) and are private to
-    a single VMM call; the output is a fresh array, so nothing the
-    caller holds aliases them.  ``x_padded`` is zero-initialized and
+    when every tile drives the same voltages.  An engine keeps one
+    workspace, sized for its last call's batch; it is scratch private
+    to one VMM call, and the output is a fresh array, so nothing the
+    caller holds aliases it.  ``x_padded`` is zero-initialized and
     only its true rows/columns are ever rewritten, so padding stays zero
     across reuse.
     """
@@ -732,28 +734,33 @@ class TileEngine:
     """Executes a :class:`CrossbarBank`'s VMM through a chosen backend.
 
     The engine owns the stacked mirrors (:class:`TileStacks`), the
-    batched pass's plan (:class:`_VmmPlan`) and its scratch buffers; the
-    bank's :class:`CrossbarTile` objects stay authoritative for
+    batched pass's plan (:class:`_VmmPlan`) and one scratch workspace;
+    the bank's :class:`CrossbarTile` objects stay authoritative for
     programming physics and for the ``"loop"`` reference backend.  Bank
     methods that mutate tile state (RSA assignment, SRAM weight updates,
     reprogramming, retention drift) call :meth:`sync_sram` /
     :meth:`sync_effective`, which update the stacks in place and tell
     the plan whether any cell is SRAM-resident.
+
+    The engine copies the bank's name, shape, grid and tiles instead of
+    holding the bank, so a released deployment is freed by reference
+    counting alone.
     """
 
     def __init__(self, bank: "CrossbarBank", backend: str | None = None):
-        self.bank = bank
+        self.name = bank.name
         self.config = bank.config
-        self.tiles = [tile for row in bank.tiles for tile in row]
+        self.shape = bank.shape
         self.grid = bank.grid
+        self.tiles = [tile for row in bank.tiles for tile in row]
         self.backend = resolve_backend(
             backend if backend is not None else bank.config.backend)
         self._stacks: TileStacks | None = None
         # Fused-pass state, lazily built and reused across calls: the
-        # plan (stage list, extents, RNG layout) and one workspace per
-        # recent batch size.
+        # plan (stage list, extents, RNG layout) and the workspace of
+        # the last call's batch size.
         self._plan: _VmmPlan | None = None
-        self._workspaces: dict[int, _Workspace] = {}
+        self._workspace: _Workspace | None = None
         self._traced = False
 
     # ------------------------------------------------------------------
@@ -825,7 +832,7 @@ class TileEngine:
         if self._plan is not None:
             self._plan.sram = st.has_sram
         if st.has_sram != had_sram:
-            self._workspaces.clear()  # the SRAM product needs scratch
+            self._workspace = None  # the SRAM product needs scratch
 
     def set_backend(self, backend: str | None) -> None:
         """Re-resolve the execution backend (None → env/default)."""
@@ -834,8 +841,6 @@ class TileEngine:
     # ------------------------------------------------------------------
     # Fused-pass state
     # ------------------------------------------------------------------
-    _MAX_WORKSPACES = 4
-
     def plan(self) -> _VmmPlan:
         """The fused pass's plan, built on first use."""
         if self._plan is None:
@@ -843,14 +848,12 @@ class TileEngine:
         return self._plan
 
     def workspace(self, batch: int) -> _Workspace:
-        """Scratch buffers for ``batch`` rows (bounded LRU per size)."""
-        ws = self._workspaces.pop(batch, None)
-        if ws is None:
-            ws = _Workspace(self.plan(), batch)
-            while len(self._workspaces) >= self._MAX_WORKSPACES:
-                self._workspaces.pop(next(iter(self._workspaces)))
-        self._workspaces[batch] = ws
-        return ws
+        """Scratch for ``batch`` rows; another size drops the old
+        workspace before the new one is built, so a bank never holds two."""
+        if self._workspace is None or self._workspace.batch != batch:
+            self._workspace = None
+            self._workspace = _Workspace(self.plan(), batch)
+        return self._workspace
 
     # ------------------------------------------------------------------
     # Whole-matrix views (vectorized assembly from the stacks)
@@ -859,7 +862,7 @@ class TileEngine:
         """Scatter a ``(T, S, S)`` stack back to the full matrix."""
         grid_rows, grid_cols = self.grid
         size = self.config.size
-        rows, cols = self.bank.shape
+        rows, cols = self.shape
         full = (blocks.reshape(grid_rows, grid_cols, size, size)
                 .transpose(0, 2, 1, 3)
                 .reshape(grid_rows * size, grid_cols * size))
@@ -907,7 +910,7 @@ class TileEngine:
         metrics = get_metrics()
         metrics.counter("vmm.calls").inc()
         metrics.histogram("vmm.batch").observe(x.shape[0])
-        with trace_span("vmm", backend=self.backend, bank=self.bank.name,
+        with trace_span("vmm", backend=self.backend, bank=self.name,
                         tiles=self.num_tiles, batch=x.shape[0]):
             return backend(self, x)
 
@@ -918,15 +921,10 @@ class TileEngine:
 
 def _execute_loop(engine: TileEngine, x: np.ndarray) -> np.ndarray:
     """Reference backend: per-tile VMMs with digital partial sums."""
-    bank = engine.bank
-    size = bank.config.size
-    out = np.zeros((x.shape[0], bank.shape[1]))
-    for i, tile_row in enumerate(bank.tiles):
-        x_block = x[:, i * size:(i + 1) * size]
-        col = 0
-        for tile in tile_row:
-            out[:, col:col + tile.cols] += tile.vmm(x_block)
-            col += tile.cols
+    out = np.zeros((x.shape[0], engine.shape[1]))
+    for (_, _, rows, cols), tile in zip(
+            iter_tile_blocks(engine.shape, engine.config.size), engine.tiles):
+        out[:, cols] += tile.vmm(x[:, rows])
     return out
 
 
@@ -935,7 +933,8 @@ def _execute_batched(engine: TileEngine, x: np.ndarray) -> np.ndarray:
 
     Runs the bank's :class:`_VmmPlan`: the stages its design point
     enables, each over whole zero-padded ``(tiles, batch, size)``
-    stacks, through a preallocated :class:`_Workspace`.
+    stacks, through the engine's :class:`_Workspace`, which is reused
+    while the batch size repeats.
     Each stage replicates the loop backend operation for operation, and
     the per-tile RNG draws come from each tile's own generator in the
     order the loop backend consumes them, so both backends see
@@ -955,10 +954,10 @@ def _execute_batched(engine: TileEngine, x: np.ndarray) -> np.ndarray:
     if engine._traced:
         for name, stage in plan.stages:
             with trace_span(name):
-                stage(ws)
+                stage(plan, ws)
     else:
         for _, stage in plan.stages:
-            stage(ws)
+            stage(plan, ws)
     return ws.out
 
 

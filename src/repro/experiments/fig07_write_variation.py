@@ -38,9 +38,11 @@ def evaluate_point(dataset: str, rate: float, num_reads: int,
         deployed = deploy(model, bundle, crossbar_size=crossbar_size,
                           write_variation=rate,
                           seed=1000 * run_index + int(rate * 100))
-        accuracies.append(evaluate_accuracy(model, reads).mean_percent)
-        deployed.release()
-        model.set_activation_quant(None)
+        try:
+            accuracies.append(evaluate_accuracy(model, reads).mean_percent)
+        finally:
+            deployed.release()
+            model.set_activation_quant(None)
     return {
         "dataset": dataset,
         "rate": rate,

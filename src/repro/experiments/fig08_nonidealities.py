@@ -41,9 +41,11 @@ def evaluate_point(dataset: str, bundle_name: str, crossbar_size: int,
         deployed = deploy(model, bundle, crossbar_size=crossbar_size,
                           write_variation=write_variation,
                           seed=7000 + run_index)
-        accuracies.append(evaluate_accuracy(model, reads).mean_percent)
-        deployed.release()
-        model.set_activation_quant(None)
+        try:
+            accuracies.append(evaluate_accuracy(model, reads).mean_percent)
+        finally:
+            deployed.release()
+            model.set_activation_quant(None)
     return {
         "dataset": dataset,
         "bundle": bundle_name,

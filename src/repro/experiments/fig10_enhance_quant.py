@@ -53,16 +53,18 @@ def evaluate_point(quant_name: str, technique: str,
                           write_variation=write_variation,
                           config=enhance, cache_tag=quant.name)
     rows = []
-    for dataset in datasets:
-        reads = evaluation_reads(dataset, num_reads)
-        rows.append({
-            "quant": quant.name,
-            "technique": technique,
-            "dataset": dataset,
-            "accuracy": evaluate_accuracy(model, reads).mean_percent,
-        })
-    design.release()
-    model.set_activation_quant(None)
+    try:
+        for dataset in datasets:
+            reads = evaluation_reads(dataset, num_reads)
+            rows.append({
+                "quant": quant.name,
+                "technique": technique,
+                "dataset": dataset,
+                "accuracy": evaluate_accuracy(model, reads).mean_percent,
+            })
+    finally:
+        design.release()
+        model.set_activation_quant(None)
     return rows
 
 

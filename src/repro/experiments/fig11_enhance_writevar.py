@@ -36,16 +36,18 @@ def evaluate_point(rate: float, technique: str,
     design = build_design(model, technique, "write_only",
                           write_variation=rate, config=enhance)
     rows = []
-    for dataset in datasets:
-        reads = evaluation_reads(dataset, num_reads)
-        rows.append({
-            "rate": rate,
-            "technique": technique,
-            "dataset": dataset,
-            "accuracy": evaluate_accuracy(model, reads).mean_percent,
-        })
-    design.release()
-    model.set_activation_quant(None)
+    try:
+        for dataset in datasets:
+            reads = evaluation_reads(dataset, num_reads)
+            rows.append({
+                "rate": rate,
+                "technique": technique,
+                "dataset": dataset,
+                "accuracy": evaluate_accuracy(model, reads).mean_percent,
+            })
+    finally:
+        design.release()
+        model.set_activation_quant(None)
     return rows
 
 

@@ -38,11 +38,13 @@ def evaluate_point(bundle: str, technique: str, crossbar_size: int,
                           write_variation=write_variation,
                           config=enhance)
     accs = []
-    for dataset in datasets:
-        reads = evaluation_reads(dataset, num_reads)
-        accs.append(evaluate_accuracy(model, reads).mean_percent)
-    design.release()
-    model.set_activation_quant(None)
+    try:
+        for dataset in datasets:
+            reads = evaluation_reads(dataset, num_reads)
+            accs.append(evaluate_accuracy(model, reads).mean_percent)
+    finally:
+        design.release()
+        model.set_activation_quant(None)
     return {
         "bundle": bundle,
         "technique": technique,

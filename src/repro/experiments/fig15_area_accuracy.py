@@ -55,13 +55,15 @@ def evaluate_point(size: int, fraction: float, bundle: str,
                           crossbar_size=size,
                           write_variation=write_variation,
                           config=config)
-    accs = [
-        evaluate_accuracy(model,
-                          evaluation_reads(d, num_reads)).mean_percent
-        for d in datasets
-    ]
-    design.release()
-    model.set_activation_quant(None)
+    try:
+        accs = [
+            evaluate_accuracy(model,
+                              evaluation_reads(d, num_reads)).mean_percent
+            for d in datasets
+        ]
+    finally:
+        design.release()
+        model.set_activation_quant(None)
     # Area is an analytical model: evaluate it on the real Bonito's
     # dimensions, as with Fig. 14's throughput.
     from ..basecaller import BonitoModel

@@ -9,7 +9,8 @@ Single-shot requests (:meth:`basecall`, :meth:`ping`, :meth:`metrics`)
 can transparently retry with deterministic backoff when constructed
 with ``retries > 0``: a reset connection or a ``draining`` refusal
 (server shutting down / rolling restart) reconnects and re-sends the
-request up to ``retries`` extra times.  Retries are deliberately *not*
+request up to ``retries`` extra times.  The first connect retries on
+the same schedule.  Retries are deliberately *not*
 applied to the pipelined primitives (:meth:`submit` / :meth:`recv` /
 :meth:`submit_chunked`) — replaying part of a pipeline would reorder
 or duplicate in-flight requests, which the caller cannot observe.
@@ -39,8 +40,9 @@ class ServeClient:
     Parameters
     ----------
     retries:
-        Extra attempts for single-shot requests after a connection
-        reset or a ``draining`` response (default 0 — fail fast).
+        Extra attempts for the first connect and for single-shot
+        requests after a connection reset or a ``draining`` response
+        (default 0 — fail fast).
     retry_backoff:
         Base delay before retry *n*: ``retry_backoff * 2**(n-1)``
         seconds.
@@ -55,7 +57,21 @@ class ServeClient:
         self.retry_backoff = max(float(retry_backoff), 0.0)
         self._sock: socket.socket | None = None
         self._file = None
-        self._connect()
+        for attempt in range(1, self.retries + 2):
+            if attempt > 1:
+                self._backoff(attempt - 1)
+            try:
+                self._connect()
+                break
+            except ServeClientError:
+                if attempt > self.retries:
+                    raise
+
+    def _backoff(self, retry: int) -> None:
+        """Sleep before retry ``retry``: ``retry_backoff * 2**(retry-1)``."""
+        delay = self.retry_backoff * (2 ** (retry - 1))
+        if delay:
+            time.sleep(delay)
 
     def _connect(self) -> None:
         try:
@@ -105,9 +121,7 @@ class ServeClient:
         last_error: ServeClientError | None = None
         for attempt in range(1, self.retries + 2):
             if attempt > 1:
-                delay = self.retry_backoff * (2 ** (attempt - 2))
-                if delay:
-                    time.sleep(delay)
+                self._backoff(attempt - 1)
                 try:
                     self._reconnect()
                 except ServeClientError as exc:

@@ -13,7 +13,6 @@ from repro.basecaller import (
     chunk_read,
     evaluate_accuracy,
     make_training_chunks,
-    quality_from_logits,
     train_model,
 )
 from repro.genomics import dataset_reads
@@ -158,12 +157,6 @@ class TestDecodeAndEvaluate:
     def test_evaluate_empty_rejected(self, tiny_model):
         with pytest.raises(ValueError):
             evaluate_accuracy(tiny_model, [])
-
-    def test_quality_from_logits(self):
-        log_probs = np.log(np.array([[0.9, 0.05, 0.05],
-                                     [0.4, 0.3, 0.3]]) + 1e-12)
-        quals = quality_from_logits(log_probs)
-        assert quals[0] > quals[1] >= 0
 
     def test_trained_model_beats_untrained_on_loss(self, tiny_model,
                                                    tiny_chunks):

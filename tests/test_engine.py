@@ -8,6 +8,9 @@ possible: each tile draws from its own spawned generator, so neither
 the backend nor the tile evaluation order changes the noise.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +25,6 @@ from repro.crossbar import (
     DeviceConfig,
     DriftConfig,
     ENV_BACKEND,
-    TileEngine,
     VariationConfig,
     WireConfig,
     available_backends,
@@ -346,15 +348,20 @@ class TestBackendEquivalence:
         assert probe(batched.engine.plan()) == live
 
     def test_workspaces_stay_bounded(self):
-        """More distinct batch sizes than the LRU holds keep the scratch
-        bounded, and a size evicted and rebuilt still computes right."""
+        """One workspace per bank: a new batch size or an SRAM flip
+        frees the old scratch, and the rebuilt one still computes right."""
         loop, batched = bank_pair((40, 23), EQUIV_CONFIGS["everything"])
-        limit = TileEngine._MAX_WORKSPACES
-        for batch in range(1, limit + 6):
-            x = weights_for((batch, 40), seed=batch)
-            assert_equivalent(loop, batched, x)
-            assert len(batched.engine._workspaces) <= limit
-        assert_equivalent(loop, batched, weights_for((1, 40), seed=99))
+        engine = batched.engine
+        built = []
+        for call, batch in enumerate((1, 3, 1, 1)):
+            if call == 3:
+                assert loop.assign_sram(0.1) == batched.assign_sram(0.1)
+                assert engine._workspace is None
+            assert_equivalent(loop, batched,
+                              weights_for((batch, 40), seed=call))
+            assert engine._workspace.batch == max(batch, 2)
+            built.append(weakref.ref(engine._workspace))
+            assert [ref() is not None for ref in built].count(True) == 1
 
     @settings(deadline=None, max_examples=25)
     @given(
@@ -473,3 +480,66 @@ class TestDeployedEquivalence:
                    for bs in deployed.banks.values() for b in bs)
         assert deployed.engines.keys() == deployed.banks.keys()
         deployed.release()
+
+
+# ----------------------------------------------------------------------
+# Deployment lifetime
+# ----------------------------------------------------------------------
+
+class TestDeploymentLifetime:
+    @pytest.mark.parametrize("size", [64, 256])
+    @pytest.mark.parametrize("bundle", ["combined", "measured", "write_only"])
+    def test_release_frees_without_gc(self, bundle, size):
+        """``release()`` plus the last reference frees every bank,
+        engine, plan and workspace by reference counting alone."""
+        from repro import nn
+        from repro.basecaller import BonitoModel
+        from repro.core import deploy, get_bundle
+        from tests.conftest import TINY_CONFIG
+
+        model = BonitoModel(TINY_CONFIG)
+        model.eval()
+        signals = np.random.default_rng(5).standard_normal((3, 192))
+        refs = []
+
+        def track(deployed):
+            refs.append(weakref.ref(deployed))
+            for banks in deployed.banks.values():
+                for bank in banks:
+                    engine = bank.engine
+                    refs.extend(weakref.ref(obj) for obj in (
+                        bank, engine, engine._plan, engine._workspace)
+                        if obj is not None)
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            deployed = deploy(model, get_bundle(bundle),
+                              crossbar_size=size, seed=3)
+            with nn.no_grad():
+                model(nn.Tensor(signals[:1]))
+                track(deployed)
+                model(nn.Tensor(signals))
+                track(deployed)
+                deployed.assign_sram(0.05)
+                model(nn.Tensor(signals[:1]))
+                track(deployed)
+                deployed.reprogram()
+                drift = DriftConfig(relaxation_per_decade=0.05)
+                for banks in deployed.banks.values():
+                    for bank in banks:
+                        bank.age(3600.0, drift)
+                del banks, bank
+                deployed.set_backend("loop")
+                model(nn.Tensor(signals[:1]))
+            track(deployed)
+            deployed.release()
+            del deployed
+            alive = [type(ref()).__name__ for ref in refs
+                     if ref() is not None]
+        finally:
+            if enabled:
+                gc.enable()
+        assert alive == []
+        assert all(layer.matmul_hook is None
+                   for _, layer in model.vmm_layers())

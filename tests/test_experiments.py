@@ -94,6 +94,32 @@ class TestRunners:
         assert record.rows[0]["bundle"] == "dac_driver"
         assert 0 <= record.rows[0]["accuracy"] <= 100
 
+    def test_fig08_point_releases_when_evaluation_fails(self, monkeypatch):
+        """A failing evaluation still detaches the deployment's hooks."""
+        from repro.experiments import fig08_nonidealities as fig08
+        from repro.reliability import DivergenceError
+
+        models = []
+        clone = fig08.baseline_clone
+
+        def tracked_clone():
+            models.append(clone())
+            return models[-1]
+
+        def diverge(model, reads):
+            assert all(layer.matmul_hook is not None
+                       for _, layer in model.vmm_layers())
+            raise DivergenceError("vmm:decoder[0]", float("nan"))
+
+        monkeypatch.setattr(fig08, "baseline_clone", tracked_clone)
+        monkeypatch.setattr(fig08, "evaluate_accuracy", diverge)
+        with pytest.raises(DivergenceError):
+            fig08.evaluate_point("D1", "combined", 64, 0.1,
+                                 num_reads=1, num_runs=1)
+        assert len(models) == 1
+        assert all(layer.matmul_hook is None
+                   for _, layer in models[0].vmm_layers())
+
     def test_fig10(self):
         from repro.experiments import fig10_enhance_quant
         record = fig10_enhance_quant.run(

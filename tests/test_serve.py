@@ -727,7 +727,7 @@ class _ScriptedServer:
     - ``"reset"``    — read the request line, then hard-close the
       connection (RST via ``SO_LINGER 0``): a mid-request reset.  The
       request is read first so the RST cannot race the client's
-      ``connect()``, which runs outside the retry loop.
+      ``connect()``.
     - ``"other"``    — answer with a non-retryable error response.
     """
 
@@ -867,6 +867,54 @@ class TestServeClientRetry:
                                match=r"after 1 attempt\(s\)"):
                 client.ping()
             client.abort()
+        finally:
+            server.close()
+
+    @staticmethod
+    def _reset_first_connect(monkeypatch):
+        """Fail the next ``create_connection`` once with a reset; record
+        every connect attempt and every backoff sleep."""
+        import socket
+        import types
+
+        import repro.serve.client as client_mod
+
+        connect = socket.create_connection
+        attempts: list[tuple] = []
+        sleeps: list[float] = []
+
+        def reset_once(*args, **kwargs):
+            attempts.append(args)
+            if len(attempts) == 1:
+                raise ConnectionResetError("reset during connect")
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(client_mod.socket, "create_connection",
+                            reset_once)
+        monkeypatch.setattr(client_mod, "time",
+                            types.SimpleNamespace(sleep=sleeps.append))
+        return attempts, sleeps
+
+    def test_first_connect_retries_on_reset(self, monkeypatch):
+        server = _ScriptedServer(["ok"])
+        try:
+            attempts, sleeps = self._reset_first_connect(monkeypatch)
+            with self._client(server, retries=1, backoff=0.25) as client:
+                assert client.ping()["status"] == "ok"
+            assert len(attempts) == 2
+            assert sleeps == [0.25]
+            assert server.connections == 1
+        finally:
+            server.close()
+
+    def test_zero_retries_first_connect_raises_at_once(self, monkeypatch):
+        server = _ScriptedServer(["ok"])
+        try:
+            attempts, sleeps = self._reset_first_connect(monkeypatch)
+            with pytest.raises(ServeClientError, match="cannot connect"):
+                self._client(server, retries=0, backoff=0.25)
+            assert len(attempts) == 1
+            assert sleeps == []
         finally:
             server.close()
 
