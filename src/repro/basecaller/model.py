@@ -133,16 +133,19 @@ class BonitoModel(nn.Module):
         """Install (or clear) the inter-block activation quantizer."""
         self._activation_quant = quant
 
-    def set_matmul_hook(self, hook) -> None:
-        """Route every VMM in the network through ``hook(x, w)``.
+    def set_matmul_hook(self, hook, check=None) -> None:
+        """Route every VMM in the network through
+        ``hook(x, w, layer_name, slot)``.
 
-        ``hook=None`` restores exact NumPy matmuls.  Layer hooks receive
-        a ``layer_name`` keyword-free closure; Swordfish wraps per-layer
-        crossbar banks around this.
+        ``hook=None`` restores exact NumPy matmuls.  ``check(outputs,
+        layer_name, slot)``, when given, validates the outputs: once per
+        call, except for an LSTM's recurrent outputs, which it sees
+        stacked once per forward.  Swordfish wraps per-layer crossbar
+        banks around this.
         """
         for name, layer in self.vmm_layers():
             layer.matmul_hook = (
-                None if hook is None else _LayerHook(hook, name)
+                None if hook is None else _LayerHook(hook, name, check)
             )
 
     def vmm_layers(self) -> list[tuple[str, nn.Module]]:
@@ -204,12 +207,26 @@ class BonitoModel(nn.Module):
 
 
 class _LayerHook:
-    """Bind a (layer-name aware) matmul hook to one layer."""
+    """Bind a (layer-name aware) matmul hook and its output check to
+    one layer.
 
-    def __init__(self, hook, layer_name: str):
+    Each call's outputs are checked unless the caller passes
+    ``check=False`` and checks them itself, stacked, through
+    :meth:`check`, as the LSTM recurrence does.
+    """
+
+    def __init__(self, hook, layer_name: str, check=None):
         self.hook = hook
         self.layer_name = layer_name
+        self.checker = check
 
     def __call__(self, inputs: np.ndarray, weights: np.ndarray,
-                 slot: int) -> np.ndarray:
-        return self.hook(inputs, weights, self.layer_name, slot)
+                 slot: int, check: bool = True) -> np.ndarray:
+        out = self.hook(inputs, weights, self.layer_name, slot)
+        if check:
+            self.check(out, slot)
+        return out
+
+    def check(self, outputs: np.ndarray, slot: int) -> None:
+        if self.checker is not None:
+            self.checker(outputs, self.layer_name, slot)

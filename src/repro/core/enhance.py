@@ -354,7 +354,7 @@ def rsa_online_retrain(deployed: DeployedModel, chunks: Sequence[Chunk],
     for param, clean, _ in param_info:
         param.data = clean
     # Reinstall the crossbar hook for deployed inference.
-    model.set_matmul_hook(deployed._matmul)
+    deployed.attach()
     return deployed
 
 

@@ -146,7 +146,7 @@ class DeployedModel:
                                           programming=programming,
                                           name=name, backend=backend))
             self.banks[name] = banks
-        self.model.set_matmul_hook(self._matmul)
+        self.attach()
 
     @staticmethod
     def _layer_weights(layer) -> list[np.ndarray]:
@@ -166,10 +166,20 @@ class DeployedModel:
                 f"bank/weight shape mismatch in {layer_name}[{slot}]: "
                 f"{bank.shape} vs {weights.shape}"
             )
-        out = bank.vmm(inputs)
+        return bank.vmm(inputs)
+
+    def _check(self, outputs: np.ndarray, layer_name: str,
+               slot: int) -> None:
+        """The numeric guard over VMM outputs: every call's, and each
+        LSTM's recurrent outputs once per forward, stacked."""
         if self.health is not None:
-            self.health.check_array(f"vmm:{layer_name}[{slot}]", out)
-        return out
+            self.health.check_array(f"vmm:{layer_name}[{slot}]", outputs)
+
+    def attach(self) -> None:
+        """Install the crossbar hook and its output check on the model
+        (at construction, and again after retraining with exact
+        matmuls)."""
+        self.model.set_matmul_hook(self._matmul, check=self._check)
 
     # ------------------------------------------------------------------
     # Mitigation integration
@@ -258,7 +268,8 @@ class DeployedModel:
                 bank.set_backend(backend)
 
     def release(self) -> BonitoModel:
-        """Detach the hook; the model computes exact VMMs again."""
+        """Detach the hook; the model computes exact VMMs again (see
+        :meth:`attach`)."""
         self.model.set_matmul_hook(None)
         return self.model
 

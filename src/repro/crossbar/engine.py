@@ -413,8 +413,8 @@ class _VmmPlan:
     """The stage list of one bank's fused pass.
 
     Built once per engine from its :class:`CrossbarConfig` and tile
-    geometry; ``sync_sram`` / ``sync_effective`` only update
-    :attr:`sram`.  :func:`_execute_batched` runs :attr:`stages` and
+    geometry; ``sync_sram`` / ``sync_effective`` only re-run
+    :meth:`sync`.  :func:`_execute_batched` runs :attr:`stages` and
     nothing else, so a design point pays only for the non-idealities it
     switches on.  A stage or pass is left out only where it is an exact
     IEEE identity for finite values:
@@ -428,7 +428,10 @@ class _VmmPlan:
       (every tile reads the same block, so a broadcast view replaces the
       copy) and the row-block partial sum.  A one-term numpy sum is
       ``+0.0 + y``, so the output copy adds ``0.0``, which keeps the
-      sum's ``-0.0 → +0.0``.
+      sum's ``-0.0 → +0.0``;
+    * the ADC when it only saturates and no output can reach its full
+      scale (:meth:`_clip_unreachable`); the clip passes ``-0.0`` and
+      NaN unchanged.
 
     The ragged-edge sneak correction is plan data: one basic index over
     the last tile column, not a per-call ``np.nonzero`` loop.
@@ -490,6 +493,11 @@ class _VmmPlan:
             self.operand = np.zeros_like(st.analog)
             self.jittered = self.operand[:, :rows_j, :cols_j]
             self.analog_cells = st.analog[:, :rows_j, :cols_j]
+            # Scratch for the ``1 + σ·J`` factor: the cells themselves
+            # when they are whole operand rows, else a contiguous buffer,
+            # so only the final product writes strided cells.
+            self.factor = (self.jittered if cols_j == size
+                           else np.empty(self.jittered.shape))
 
         # Geometry factors of the worst-case output, the ADC full scale
         # and the droop; the per-sample scale multiplies in per call.
@@ -511,13 +519,27 @@ class _VmmPlan:
                            if dac.bits is not None else None)
         self.adc_levels = (2 ** (adc.bits - 1) - 1
                            if adc.bits is not None else None)
-        #: Whether any cell is SRAM-resident; kept current by the syncs.
-        self.sram = st.has_sram
+        # An ADC that only saturates, behind a DAC that never drives
+        # |v| past the per-sample scale, over noiseless conductances:
+        # whether its clip is reachable depends on the operands alone.
+        self.clip_only = not (
+            adc.bits is not None or adc.gain_std > 0 or adc.offset_std > 0
+            or adc.inl > 0 or dac.gain_std > 0 or dac.offset_std > 0
+            or config.device.read_noise > 0)
+        self.sync(st)
 
+    def sync(self, st: TileStacks) -> None:
+        """Re-derive what the operands decide, at build and after every
+        engine sync: whether any cell is SRAM-resident, and whether the
+        ADC stage can change an output.  Then rebuild the stage list."""
+        #: Whether any cell is SRAM-resident.
+        self.sram = st.has_sram
+        #: Whether the ADC stage runs.
+        self.adc = not (self.clip_only and self._clip_unreachable(st))
         # Plain functions, called as ``stage(plan, ws)``: bound methods
         # would make the plan a reference cycle that only the GC frees.
         stages: list[tuple[str, Callable[[_VmmPlan, _Workspace], None]]] = []
-        if rng.active:
+        if self.rng.active:
             stages.append(("vmm.rng", _VmmPlan._draw))
         stages.append(("vmm.dac", _VmmPlan._dac))
         if self.jitter is not None:
@@ -525,9 +547,30 @@ class _VmmPlan:
         stages.append(("vmm.matmul", _VmmPlan._matmul))
         if self.kappa is not None or self.coupling > 0:
             stages.append(("vmm.wires", _VmmPlan._wires))
-        stages.append(("vmm.adc", _VmmPlan._adc))
+        if self.adc:
+            stages.append(("vmm.adc", _VmmPlan._adc))
         stages.append(("vmm.digital", _VmmPlan._digital))
         self.stages = stages
+
+    def _clip_unreachable(self, st: TileStacks) -> bool:
+        """Whether no output of a ``clip_only`` plan can reach ±full scale.
+
+        Division by the per-sample scale, ``rint`` quantization and the
+        ``r_load`` sag are monotone steps under bounds that are exactly
+        representable, so the DAC's ``|v|`` never exceeds the scale.
+        Then ``|y_j| <= scale · Σ_i |analog_ij|``; sneak coupling adds at
+        most ``coupling · max_j |y_j|`` and droop only shrinks ``|y|``.
+        The full scale is ``fs_base · scale``, so the scale cancels, and
+        a factor of 2 covers the rounding of the gemm and of this sum.
+        A NaN or infinite weight fails the compare and keeps the clip.
+        Finite outputs of finite inputs then stay within half the full
+        scale; an input that overflows the full scale to infinity passes
+        the clip as it is, and an infinite or NaN input makes its whole
+        row NaN through the scale.
+        """
+        peak = np.abs(st.analog).sum(axis=1).max(axis=1)    # (T,)
+        reach = 2.0 * (1.0 + self.coupling) * peak
+        return bool(np.all(reach <= self.fs_base[:, 0, 0]))
 
     # ------------------------------------------------------------------
     # Per-call steps (each mirrors the loop backend's per-tile order)
@@ -590,9 +633,9 @@ class _VmmPlan:
 
     def _conductance(self, ws: "_Workspace") -> None:
         """Read noise on the programmed conductances, over the true cells."""
-        g = np.multiply(self.jitter, self.read_noise, out=self.jittered)
-        g += 1.0
-        np.multiply(g, self.analog_cells, out=g)
+        factor = np.multiply(self.jitter, self.read_noise, out=self.factor)
+        factor += 1.0
+        np.multiply(factor, self.analog_cells, out=self.jittered)
 
     def _matmul(self, ws: "_Workspace") -> None:
         np.matmul(ws.v, self.operand, out=ws.y)
@@ -725,8 +768,9 @@ class _Workspace:
             self.leak = np.empty(cells)
         if plan.kappa is not None:
             self.wc = np.empty((count, batch, 1))
-        self.fs = np.empty((count, batch, 1))
-        self.nfs = np.empty((count, batch, 1))
+        if plan.adc:
+            self.fs = np.empty((count, batch, 1))
+            self.nfs = np.empty((count, batch, 1))
         self.out: np.ndarray | None = None
 
 
@@ -739,8 +783,8 @@ class TileEngine:
     programming physics and for the ``"loop"`` reference backend.  Bank
     methods that mutate tile state (RSA assignment, SRAM weight updates,
     reprogramming, retention drift) call :meth:`sync_sram` /
-    :meth:`sync_effective`, which update the stacks in place and tell
-    the plan whether any cell is SRAM-resident.
+    :meth:`sync_effective`, which update the stacks in place and let
+    the plan re-derive its SRAM and ADC stages.
 
     The engine copies the bank's name, shape, grid and tiles instead of
     holding the bank, so a released deployment is freed by reference
@@ -825,14 +869,16 @@ class TileEngine:
 
     def _refresh(self) -> None:
         """Re-derive the operands after a sync; the plan reads them in
-        place and only tracks SRAM residency."""
+        place and re-derives its SRAM and ADC stages from them."""
         st = self._stacks
-        had_sram = st.has_sram
         st.refresh_derived()
-        if self._plan is not None:
-            self._plan.sram = st.has_sram
-        if st.has_sram != had_sram:
-            self._workspace = None  # the SRAM product needs scratch
+        plan = self._plan
+        if plan is None:
+            return
+        scratch = (plan.sram, plan.adc)
+        plan.sync(st)
+        if (plan.sram, plan.adc) != scratch:
+            self._workspace = None  # the SRAM product and ADC need scratch
 
     def set_backend(self, backend: str | None) -> None:
         """Re-resolve the execution backend (None → env/default)."""

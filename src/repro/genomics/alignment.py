@@ -50,34 +50,41 @@ class AlignmentResult:
 
 def _needleman_wunsch(query: np.ndarray, reference: np.ndarray,
                       match: float, mismatch: float, gap: float):
-    """Score + traceback matrices for global alignment."""
+    """Score + traceback matrices for global alignment.
+
+    Each row's left-gap chain ``row[j] = max(best[j-1], row[j-1] + gap)``
+    is resolved in closed form, as :func:`edit_distance` does:
+    ``row[j] = j·gap + max over k <= j of (row'[k] - k·gap)``, where
+    ``row'`` is the row's column-0 score followed by ``best``.  ``LEFT``
+    is traced exactly where ``row[j-1] + gap > best[j-1]``.  The result
+    equals the cell-by-cell recurrence when ``match``, ``mismatch`` and
+    ``gap`` are integers (every caller's case): every score is then an
+    integer, so no sum rounds.
+    """
     n, m = len(query), len(reference)
     score = np.empty((n + 1, m + 1), dtype=np.float64)
     trace = np.empty((n + 1, m + 1), dtype=np.uint8)
-    score[0, :] = np.arange(m + 1) * gap
+    offsets = np.arange(m + 1) * gap
+    score[0, :] = offsets
     score[:, 0] = np.arange(n + 1) * gap
     trace[0, :] = _LEFT
     trace[:, 0] = _UP
     trace[0, 0] = _DIAG
 
+    chain = np.empty(m + 1)
     for i in range(1, n + 1):
         sub = np.where(reference == query[i - 1], match, mismatch)
         diag = score[i - 1, :-1] + sub
         up = score[i - 1, 1:] + gap
-        # "left" has a data dependence within the row; resolve in a
-        # scalar pass but only where left could win.
         best = np.maximum(diag, up)
         direction = np.where(diag >= up, _DIAG, _UP).astype(np.uint8)
         row = score[i]
-        row[0] = i * gap
-        for j in range(1, m + 1):
-            left = row[j - 1] + gap
-            if left > best[j - 1]:
-                row[j] = left
-                trace[i, j] = _LEFT
-            else:
-                row[j] = best[j - 1]
-                trace[i, j] = direction[j - 1]
+        chain[0] = row[0]                    # offsets[0] is 0
+        np.subtract(best, offsets[1:], out=chain[1:])
+        np.maximum.accumulate(chain, out=chain)
+        np.add(chain, offsets, out=row)
+        left = row[:-1] + gap > best
+        trace[i, 1:] = np.where(left, _LEFT, direction)
 
     return score, trace
 

@@ -17,6 +17,7 @@ Conventions
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -37,7 +38,10 @@ __all__ = [
 
 # A matmul hook takes (inputs, weights, slot) as plain arrays plus the
 # index of the weight matrix within the layer (LSTMs own two); the
-# Swordfish deployment path substitutes a crossbar VMM here.
+# Swordfish deployment path substitutes a crossbar VMM here.  A hook
+# with a ``check(outputs, slot)`` method checks each output unless
+# called with ``check=False``; the LSTM recurrence does that per step
+# and checks the stacked outputs once per forward.
 MatmulHook = Callable[[np.ndarray, np.ndarray, int], np.ndarray]
 
 
@@ -214,19 +218,26 @@ class LSTM(Module):
         """Forward pass with matmuls routed through ``matmul_hook``.
 
         Pure-NumPy (no tape); used only for crossbar-deployed inference.
+        A checking hook's per-step recurrent outputs are kept raw and
+        checked once, stacked, after the last step.
         """
         batch, time, _ = x.shape
         hidden = self.hidden_size
         hook = self.matmul_hook
         assert hook is not None
+        check = getattr(hook, "check", None)
+        step = hook if check is None else partial(hook, check=False)
         h = np.zeros((batch, hidden))
         c = np.zeros((batch, hidden))
         x_proj = hook(x.reshape(-1, self.input_size), self.weight_ih.data, 0)
         x_proj = x_proj.reshape(batch, time, 4 * hidden) + self.bias.data
         steps = range(time - 1, -1, -1) if self.reverse else range(time)
         out = np.empty((batch, time, hidden))
+        recurrent = np.empty((time, batch, 4 * hidden))
         for t in steps:
-            gates = x_proj[:, t, :] + hook(h, self.weight_hh.data, 1)
+            raw = step(h, self.weight_hh.data, 1)
+            recurrent[t] = raw
+            gates = x_proj[:, t, :] + raw
             # One elementwise sigmoid over the whole gate block (its g
             # columns go unused), sliced into i, f and o.
             act = _sigmoid(gates)
@@ -237,6 +248,8 @@ class LSTM(Module):
             c = f * c + i * g
             h = o * np.tanh(c)
             out[:, t, :] = h
+        if check is not None:
+            check(recurrent, 1)
         return out
 
     def __repr__(self) -> str:

@@ -58,6 +58,15 @@ ENV_TRACE_FILE = "SWORDFISH_TRACE_FILE"
 #: Env values that mean "disabled" (anything else enables tracing).
 _FALSEY = frozenset({"", "0", "false", "off", "no"})
 
+#: ``os.environ`` keeps its values in a plain dict under encoded keys,
+#: so one ``dict.get`` reads ``SWORDFISH_TRACE``.  ``os.environ.get``
+#: goes through ``Mapping.get``, which raises and catches ``KeyError``
+#: whenever the variable is unset: about 1.5 µs per hot-path check.
+_TRACE_KEY = os.environ.encodekey(ENV_TRACE)
+
+#: Raw value of a tracer that has not read the environment yet.
+_UNREAD = object()
+
 #: Buffered spans before an automatic file flush.
 FLUSH_EVERY = 512
 
@@ -132,7 +141,7 @@ class Tracer:
     """Thread-safe span collector with lazy env-driven enablement.
 
     ``enabled``/``path`` re-read :data:`ENV_TRACE` on access (cached on
-    the raw string), so tests and CLIs can toggle tracing through the
+    the raw value), so tests and CLIs can toggle tracing through the
     environment without rebuilding the tracer; explicit constructor
     arguments pin them instead (used by unit tests).
     """
@@ -141,7 +150,7 @@ class Tracer:
                  path: str | Path | None = None):
         self._forced_enabled = enabled
         self._forced_path = str(path) if path is not None else None
-        self._env_raw: str | None = None
+        self._env_raw: object = _UNREAD
         self._env_enabled = False
         self._env_path: str | None = None
         # Re-entrant: the flush path re-reads `path` (and thus may
@@ -158,20 +167,20 @@ class Tracer:
     # Configuration
     # ------------------------------------------------------------------
     def _refresh_env(self) -> None:
-        raw = os.environ.get(ENV_TRACE, "")
-        if raw == self._env_raw:       # unlocked fast path: hot spans
-            return                     # only read an immutable str
+        """Re-derive the cached flag and path from the environment."""
         with self._lock:
-            if raw == self._env_raw:   # double-checked under the lock
+            raw = os.environ._data.get(_TRACE_KEY)
+            if raw is self._env_raw:   # double-checked under the lock
                 return
-            value = raw.strip()
+            value = "" if raw is None else os.environ.decodevalue(raw)
+            value = value.strip()
             self._env_enabled = value.lower() not in _FALSEY
             if self._env_enabled and _is_pathlike(value):
                 self._env_path = value
             else:
                 self._env_path = (os.environ.get(ENV_TRACE_FILE, "").strip()
                                   or None)
-            # Published last: readers that see the new raw string also
+            # Published last: readers that see the new raw value also
             # see the matching enabled/path pair.
             self._env_raw = raw
 
@@ -179,14 +188,18 @@ class Tracer:
     def enabled(self) -> bool:
         if self._forced_enabled is not None:
             return self._forced_enabled
-        self._refresh_env()
+        # Lock-free fast path, run on every VMM: one dict lookup and an
+        # identity compare against the value the cached flag came from.
+        if os.environ._data.get(_TRACE_KEY) is not self._env_raw:
+            self._refresh_env()
         return self._env_enabled
 
     @property
     def path(self) -> str | None:
         if self._forced_path is not None:
             return self._forced_path
-        self._refresh_env()
+        if os.environ._data.get(_TRACE_KEY) is not self._env_raw:
+            self._refresh_env()
         return self._env_path
 
     # ------------------------------------------------------------------
@@ -300,7 +313,12 @@ def get_tracer() -> Tracer:
 
 
 def tracing_enabled() -> bool:
-    """Cheap hot-path check: is ``SWORDFISH_TRACE`` on?"""
+    """Cheap hot-path check: is ``SWORDFISH_TRACE`` on?
+
+    One dict lookup and an identity compare against the value the
+    cached flag came from; a set or cleared variable takes effect at the
+    next call.
+    """
     return _TRACER.enabled
 
 

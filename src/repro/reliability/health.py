@@ -118,7 +118,6 @@ class HealthMonitor:
     def __init__(self, policy: HealthPolicy | None = None):
         self.policy = policy or HealthPolicy()
         self.rollbacks = 0
-        self.checks = 0
         self._loss_history: deque[float] = deque(maxlen=16)
         self._best_loss: float | None = None
         self._loss_samples = 0
@@ -126,7 +125,6 @@ class HealthMonitor:
     # ------------------------------------------------------------------
     def check_loss(self, value: float, step: int | None = None) -> float:
         """Validate one training-loss sample; returns it unchanged."""
-        self.checks += 1
         value = float(value)
         if not math.isfinite(value):
             raise DivergenceError("loss", value, step=step,
@@ -151,7 +149,6 @@ class HealthMonitor:
 
     def check_grad_norm(self, value: float, step: int | None = None) -> float:
         """Validate one pre-clip global gradient norm."""
-        self.checks += 1
         value = float(value)
         if not math.isfinite(value):
             raise DivergenceError("grad_norm", value, step=step,
@@ -166,7 +163,6 @@ class HealthMonitor:
     def check_array(self, name: str, array: np.ndarray,
                     step: int | None = None) -> np.ndarray:
         """Validate an evaluation-path array (e.g. one VMM output)."""
-        self.checks += 1
         array = np.asarray(array)
         if array.size == 0:
             return array

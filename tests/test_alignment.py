@@ -11,6 +11,7 @@ from repro.genomics import (
     global_align,
     read_accuracy,
 )
+from repro.genomics.alignment import _DIAG, _LEFT, _UP, _needleman_wunsch
 
 sequences = st.lists(st.integers(0, 3), min_size=0, max_size=40).map(
     lambda xs: np.array(xs, dtype=np.int8)
@@ -28,6 +29,55 @@ def reference_edit_distance(a, b):
             dp[i, j] = min(dp[i - 1, j] + 1, dp[i, j - 1] + 1,
                            dp[i - 1, j - 1] + (a[i - 1] != b[j - 1]))
     return int(dp[n, m])
+
+
+def reference_needleman_wunsch(query, reference, match, mismatch, gap):
+    """Score + traceback matrices, resolving each cell's left gap in a
+    scalar pass (the module's vectorized form must match it)."""
+    n, m = len(query), len(reference)
+    score = np.empty((n + 1, m + 1), dtype=np.float64)
+    trace = np.empty((n + 1, m + 1), dtype=np.uint8)
+    score[0, :] = np.arange(m + 1) * gap
+    score[:, 0] = np.arange(n + 1) * gap
+    trace[0, :] = _LEFT
+    trace[:, 0] = _UP
+    trace[0, 0] = _DIAG
+    for i in range(1, n + 1):
+        sub = np.where(reference == query[i - 1], match, mismatch)
+        diag = score[i - 1, :-1] + sub
+        up = score[i - 1, 1:] + gap
+        best = np.maximum(diag, up)
+        direction = np.where(diag >= up, _DIAG, _UP).astype(np.uint8)
+        row = score[i]
+        for j in range(1, m + 1):
+            left = row[j - 1] + gap
+            if left > best[j - 1]:
+                row[j] = left
+                trace[i, j] = _LEFT
+            else:
+                row[j] = best[j - 1]
+                trace[i, j] = direction[j - 1]
+    return score, trace
+
+
+long_sequences = st.lists(st.integers(0, 3), min_size=0, max_size=80).map(
+    lambda xs: np.array(xs, dtype=np.int8)
+)
+
+
+class TestNeedlemanWunsch:
+    @given(long_sequences, long_sequences,
+           st.integers(0, 5), st.integers(-5, 1), st.integers(-5, 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_recurrence(self, query, reference, match,
+                                       mismatch, gap):
+        """Identical score and traceback matrices for integer scores."""
+        score, trace = _needleman_wunsch(query, reference, float(match),
+                                         float(mismatch), float(gap))
+        ref_score, ref_trace = reference_needleman_wunsch(
+            query, reference, float(match), float(mismatch), float(gap))
+        np.testing.assert_array_equal(score, ref_score)
+        np.testing.assert_array_equal(trace, ref_trace)
 
 
 class TestGlobalAlign:

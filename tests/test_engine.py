@@ -207,6 +207,15 @@ def _noisy(size=16, **overrides):
     return CrossbarConfig(size=size, **{**_NOISY, **overrides})
 
 
+def _clip_only(headroom):
+    """An ADC that only saturates behind a mismatch-free DAC, with
+    quantization, driver sag, droop and sneak coupling on."""
+    return CrossbarConfig(
+        size=16, adc=ADCConfig(bits=None, range_headroom=headroom),
+        dac=DACConfig(bits=6, r_load=0.2),
+        wire=WireConfig(segment_ohm=2.0, sneak_coupling=0.01))
+
+
 #: Every stage the VMM plan can leave out: name -> ((shape, config,
 #: SRAM fraction) with the stage skipped, the same with it live, and
 #: plan -> whether the stage is live).
@@ -237,6 +246,10 @@ SKIP_CASES = {
         ((48, 256), _noisy(size=256), 0.0),
         ((48, 192), _noisy(size=256), 0.0),
         lambda plan: plan.edge is not None),
+    "adc_clip_unreachable": (
+        ((40, 23), _clip_only(1e6), 0.0),
+        ((40, 23), _clip_only(0.2), 0.0),
+        lambda plan: plan.adc),
 }
 
 
@@ -258,12 +271,16 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("bundle_name", sorted(BUNDLES))
     def test_all_bundles(self, bundle_name):
-        """Every paper bundle's design point is backend-independent."""
+        """Every paper bundle's design point is backend-independent.
+        Only the bundles whose ADC only saturates, at 10⁶ headroom,
+        leave the ADC stage out."""
         config = get_bundle(bundle_name).crossbar_config(
             32, write_variation=0.10)
         loop, batched = bank_pair((70, 45), config)
         x = weights_for((4, 70), seed=21)
         assert_equivalent(loop, batched, x)
+        assert batched.engine.plan().adc == (
+            bundle_name not in ("ideal", "write_only"))
 
     def test_sram_remap_and_update(self):
         config = EQUIV_CONFIGS["everything"]
@@ -346,6 +363,21 @@ class TestBackendEquivalence:
             x = weights_for((batch, shape[0]), seed=80 + call)
             assert_equivalent(loop, batched, x)
         assert probe(batched.engine.plan()) == live
+
+    def test_sync_brings_the_adc_clip_back(self):
+        """A sync that lets column sums reach full scale puts the ADC
+        stage back, and rebuilds the scratch it needs."""
+        loop, batched = bank_pair((40, 23), _clip_only(5.0))
+        x = weights_for((3, 40), seed=93)
+        assert_equivalent(loop, batched, x)
+        plan = batched.engine.plan()
+        assert not plan.adc
+        for bank in (loop, batched):
+            for tile in bank._flat_tiles():
+                tile.effective_weights = tile.effective_weights * 100.0
+            bank.sync_engine()
+        assert batched.engine.plan() is plan and plan.adc
+        assert_equivalent(loop, batched, x)
 
     def test_workspaces_stay_bounded(self):
         """One workspace per bank: a new batch size or an SRAM flip

@@ -257,6 +257,41 @@ class TestHealthMonitor:
         finally:
             deployed.release()
 
+    @pytest.mark.parametrize("bad", [np.inf, 2e12], ids=["inf", "huge"])
+    def test_recurrent_output_guard_names_the_hh_bank(self, tiny_model, rng,
+                                                      bad):
+        """One bad step of lstm0's recurrent bank still fails the
+        forward and names that bank, although the saturating gates
+        hide it from every later layer."""
+        from repro.core import deploy, get_bundle
+
+        deployed = deploy(tiny_model, get_bundle("ideal"), seed=0)
+        bank = deployed.banks["lstm0"][1]
+        vmm = bank.vmm
+        calls = []
+
+        def poisoned(inputs):
+            out = vmm(inputs)
+            calls.append(out.shape)
+            if len(calls) == 3:
+                out[:] = bad
+            return out
+
+        bank.vmm = poisoned
+        signal = nn.Tensor(rng.standard_normal((1, 192)))
+        try:
+            deployed.health = None
+            with nn.no_grad():
+                assert np.isfinite(tiny_model(signal).data).all()
+            calls.clear()
+            deployed.health = HealthMonitor(HealthPolicy())
+            with pytest.raises(DivergenceError) as err:
+                with nn.no_grad():
+                    tiny_model(signal)
+        finally:
+            deployed.release()
+        assert err.value.metric == "vmm:lstm0[1]"
+
 
 # ----------------------------------------------------------------------
 # train_model: checkpoint/resume, rollback, empty epochs
