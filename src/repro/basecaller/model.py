@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import nn
+from ..nn.layers import per_call_step
 
 __all__ = ["BonitoConfig", "BonitoModel", "NUM_CLASSES", "BLANK"]
 
@@ -133,19 +134,22 @@ class BonitoModel(nn.Module):
         """Install (or clear) the inter-block activation quantizer."""
         self._activation_quant = quant
 
-    def set_matmul_hook(self, hook, check=None) -> None:
+    def set_matmul_hook(self, hook, check=None, bind=None) -> None:
         """Route every VMM in the network through
         ``hook(x, w, layer_name, slot)``.
 
         ``hook=None`` restores exact NumPy matmuls.  ``check(outputs,
         layer_name, slot)``, when given, validates the outputs: once per
         call, except for an LSTM's recurrent outputs, which it sees
-        stacked once per forward.  Swordfish wraps per-layer crossbar
-        banks around this.
+        stacked once per forward.  ``bind(w, layer_name, slot, batch)``,
+        when given, returns the step ``step(x, out)`` an LSTM runs its
+        recurrence through for one forward, writing each product into
+        ``out``; without it the LSTM calls ``hook`` per step.  Swordfish
+        wraps per-layer crossbar banks around this.
         """
         for name, layer in self.vmm_layers():
             layer.matmul_hook = (
-                None if hook is None else _LayerHook(hook, name, check)
+                None if hook is None else _LayerHook(hook, name, check, bind)
             )
 
     def vmm_layers(self) -> list[tuple[str, nn.Module]]:
@@ -207,25 +211,31 @@ class BonitoModel(nn.Module):
 
 
 class _LayerHook:
-    """Bind a (layer-name aware) matmul hook and its output check to
-    one layer.
+    """Bind a (layer-name aware) matmul hook, its output check and its
+    recurrent binder to one layer.
 
-    Each call's outputs are checked unless the caller passes
-    ``check=False`` and checks them itself, stacked, through
-    :meth:`check`, as the LSTM recurrence does.
+    Each call's outputs are checked.  A binder's steps are not: the LSTM
+    checks its recurrent outputs itself, stacked, through :meth:`check`.
+    Without a binder, :meth:`bind` steps through calls.
     """
 
-    def __init__(self, hook, layer_name: str, check=None):
+    def __init__(self, hook, layer_name: str, check=None, bind=None):
         self.hook = hook
         self.layer_name = layer_name
         self.checker = check
+        self.binder = bind
 
     def __call__(self, inputs: np.ndarray, weights: np.ndarray,
-                 slot: int, check: bool = True) -> np.ndarray:
+                 slot: int) -> np.ndarray:
         out = self.hook(inputs, weights, self.layer_name, slot)
-        if check:
-            self.check(out, slot)
+        self.check(out, slot)
         return out
+
+    def bind(self, weights: np.ndarray, slot: int, batch: int):
+        """The recurrent step for one forward over ``batch`` rows."""
+        if self.binder is None:
+            return per_call_step(self, weights, slot)
+        return self.binder(weights, self.layer_name, slot, batch)
 
     def check(self, outputs: np.ndarray, slot: int) -> None:
         if self.checker is not None:

@@ -50,6 +50,7 @@ from ..crossbar import (
     VariationConfig,
     WriteReadVerify,
 )
+from ..observability import tracing_enabled
 from ..reliability import HealthMonitor, default_monitor
 from .nonidealities import NonidealityBundle
 from .partition import NetworkMapping, partition_network
@@ -158,15 +159,43 @@ class DeployedModel:
     # ------------------------------------------------------------------
     # The matmul hook
     # ------------------------------------------------------------------
-    def _matmul(self, inputs: np.ndarray, weights: np.ndarray,
-                layer_name: str, slot: int) -> np.ndarray:
+    def _bank(self, weights: np.ndarray, layer_name: str,
+              slot: int) -> CrossbarBank:
         bank = self.banks[layer_name][slot]
         if bank.shape != weights.shape:
             raise RuntimeError(
                 f"bank/weight shape mismatch in {layer_name}[{slot}]: "
                 f"{bank.shape} vs {weights.shape}"
             )
-        return bank.vmm(inputs)
+        return bank
+
+    def _matmul(self, inputs: np.ndarray, weights: np.ndarray,
+                layer_name: str, slot: int) -> np.ndarray:
+        return self._bank(weights, layer_name, slot).vmm(inputs)
+
+    def _bind(self, weights: np.ndarray, layer_name: str, slot: int,
+              batch: int):
+        """A recurrence's step ``step(inputs, out)`` over ``batch`` rows.
+
+        Bound once per forward, so the bank lookup and the shape check
+        happen once, not per timestep.  An untraced step on a
+        ``batched`` bank runs the engine's runner straight into
+        ``out``; a traced step, and every step of a ``loop`` bank, goes
+        through ``bank.vmm`` as a per-call VMM would, so its ``vmm``
+        span, its metrics and any wrapper of ``bank.vmm`` see it.  The
+        trace switch is read per step.  Steps are not checked: the
+        layer checks its stacked recurrent outputs once per forward.
+        """
+        bank = self._bank(weights, layer_name, slot)
+        engine = bank.engine
+        runner = engine.runner(batch) if engine.backend == "batched" else None
+
+        def step(inputs: np.ndarray, out: np.ndarray) -> None:
+            if runner is None or tracing_enabled():
+                out[...] = bank.vmm(inputs)
+            else:
+                runner(inputs, out)
+        return step
 
     def _check(self, outputs: np.ndarray, layer_name: str,
                slot: int) -> None:
@@ -176,10 +205,11 @@ class DeployedModel:
             self.health.check_array(f"vmm:{layer_name}[{slot}]", outputs)
 
     def attach(self) -> None:
-        """Install the crossbar hook and its output check on the model
-        (at construction, and again after retraining with exact
-        matmuls)."""
-        self.model.set_matmul_hook(self._matmul, check=self._check)
+        """Install the crossbar hook, its recurrent binder and its output
+        check on the model (at construction, and again after retraining
+        with exact matmuls)."""
+        self.model.set_matmul_hook(self._matmul, check=self._check,
+                                   bind=self._bind)
 
     # ------------------------------------------------------------------
     # Mitigation integration

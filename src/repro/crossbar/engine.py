@@ -414,8 +414,8 @@ class _VmmPlan:
 
     Built once per engine from its :class:`CrossbarConfig` and tile
     geometry; ``sync_sram`` / ``sync_effective`` only re-run
-    :meth:`sync`.  :func:`_execute_batched` runs :attr:`stages` and
-    nothing else, so a design point pays only for the non-idealities it
+    :meth:`sync`.  A :class:`_Runner` runs :attr:`stages` and nothing
+    else, so a design point pays only for the non-idealities it
     switches on.  A stage or pass is left out only where it is an exact
     IEEE identity for finite values:
 
@@ -469,6 +469,10 @@ class _VmmPlan:
                       last - 1)
                      if self.coupling > 0 and last < size else None)
         self.row_block = st.row_block if grid_rows > 1 else None
+        # Tile columns that span ``size`` output columns; a ragged last
+        # one is written on its own.
+        self.whole_cols = (grid_cols if cols_total == grid_cols * size
+                           else grid_cols - 1)
 
         rng = self.rng = _RngPlan(engine)
         self.dac_gain = rng.dac_gain_b
@@ -575,22 +579,6 @@ class _VmmPlan:
     # ------------------------------------------------------------------
     # Per-call steps (each mirrors the loop backend's per-tile order)
     # ------------------------------------------------------------------
-    def load(self, ws: "_Workspace", x: np.ndarray) -> None:
-        """Pad the inputs into ``ws`` and take the per-sample DAC scale."""
-        true_batch = x.shape[0]
-        ws.x_padded[:true_batch, :self.bank_rows] = x
-        if true_batch < ws.true_batch:   # rows a larger call left behind
-            ws.x_padded[true_batch:ws.true_batch] = 0.0
-        ws.true_batch = true_batch
-        # Padding is |0| = 0, so it never wins the per-(sample,
-        # row-block) max; all-zero rows floor at 1e-12.
-        np.abs(ws.x_padded, out=ws.xabs)
-        np.maximum.reduce(ws.xabs_blocks, axis=2, out=ws.scale_bg)
-        np.maximum(ws.scale_bg, 1e-12, out=ws.scale_bg)
-        if self.row_block is not None:
-            np.take(ws.x_blocks, self.row_block, axis=0, out=ws.xt)
-            np.take(ws.scale_bg.T, self.row_block, axis=0, out=ws.scale_t)
-
     def _draw(self, ws: "_Workspace") -> None:
         self.rng.fill(self.tiles)
 
@@ -696,28 +684,37 @@ class _VmmPlan:
             y *= full_scale
 
     def _digital(self, ws: "_Workspace") -> None:
-        """SRAM contribution, row-block partial sums, output copy."""
+        """SRAM contribution, row-block partial sums, output write."""
         y = ws.y
         if self.sram:
             y += np.matmul(ws.xt, self.digital, out=ws.w1)
-        true_batch = ws.true_batch
+        out = ws.out
+        true_batch = len(out)
         grid_rows, grid_cols = self.grid
+        size = self.size
         if grid_rows > 1:
             y = np.add.reduce(
-                y.reshape(grid_rows, grid_cols, ws.batch, self.size),
+                y.reshape(grid_rows, grid_cols, ws.batch, size),
                 axis=0, out=ws.sum_gc)
-        # One row block: no partial sum, but a one-term numpy sum is
-        # ``+0.0 + y``, so the copy adds 0.0 to keep its -0.0 -> +0.0.
-        if grid_cols == 1:
-            block = y[0, :true_batch, :self.bank_cols]
-            ws.out = np.add(block, 0.0) if grid_rows == 1 else block.copy()
-            return
-        blocks = y[:, :true_batch].transpose(1, 0, 2)   # (batch, gc, S)
-        out = (np.add(blocks, 0.0, order="C") if grid_rows == 1
-               else blocks.copy(order="C"))
-        out = out.reshape(true_batch, grid_cols * self.size)
-        ws.out = (out if self.bank_cols == out.shape[1]
-                  else out[:, :self.bank_cols].copy())
+        # Output column ``j·size + k`` is ``y[j, :, k]``.
+        whole = self.whole_cols
+        if whole:
+            _write(y[:whole, :true_batch].transpose(1, 0, 2),
+                   out[:, :whole * size].reshape(true_batch, whole, size),
+                   grid_rows == 1)
+        if whole < grid_cols:
+            _write(y[whole, :true_batch, :self.bank_cols - whole * size],
+                   out[:, whole * size:], grid_rows == 1)
+
+
+def _write(src: np.ndarray, out: np.ndarray, one_block: bool) -> None:
+    """Copy VMM results into the caller's array.  With one row block
+    there is no partial sum, but a one-term numpy sum is ``+0.0 + y``,
+    so the copy adds 0.0 to keep its ``-0.0 -> +0.0``."""
+    if one_block:
+        np.add(src, 0.0, out=out)
+    else:
+        np.copyto(out, src)
 
 
 class _Workspace:
@@ -728,9 +725,10 @@ class _Workspace:
     ``(tiles, batch, 1)`` factor; the DAC output holds one tile's worth
     when every tile drives the same voltages.  An engine keeps one
     workspace, sized for its last call's batch; it is scratch private
-    to one VMM call, and the output is a fresh array, so nothing the
-    caller holds aliases it.  ``x_padded`` is zero-initialized and
-    only its true rows/columns are ever rewritten, so padding stays zero
+    to one VMM call, and the output goes to an array the caller owns
+    (``out``, set only while a :class:`_Runner` runs), so nothing the
+    caller holds aliases it.  ``x_padded`` is zero-initialized and only
+    its true rows/columns are ever rewritten, so padding stays zero
     across reuse.
     """
 
@@ -774,11 +772,56 @@ class _Workspace:
         self.out: np.ndarray | None = None
 
 
+class _Runner:
+    """A bank's fused pass bound to its workspace for one true batch.
+
+    ``runner(x, out)`` copies ``x`` into the workspace's input rows,
+    takes the per-sample DAC scale, runs the plan's *current* stage list
+    (a sync may have rebuilt it) and writes the result into ``out``,
+    allocating nothing.  Per-call VMMs (:func:`_execute_batched`) and a
+    recurrence's bound steps share this entry.  The runner holds only
+    the plan, the workspace and views of them, never the engine or the
+    bank, so it adds no reference cycle.
+    """
+
+    def __init__(self, plan: _VmmPlan, ws: _Workspace, batch: int):
+        if batch < ws.true_batch:    # rows a larger batch left behind
+            ws.x_padded[batch:ws.true_batch] = 0.0
+        ws.true_batch = batch
+        self.batch = batch
+        self.plan = plan
+        self.ws = ws
+        self.x = ws.x_padded[:batch, :plan.bank_rows]
+
+    def __call__(self, x: np.ndarray, out: np.ndarray,
+                 traced: bool = False) -> None:
+        plan, ws = self.plan, self.ws
+        np.copyto(self.x, x)
+        # Padding is |0| = 0, so it never wins the per-(sample,
+        # row-block) max; all-zero rows floor at 1e-12.
+        np.abs(ws.x_padded, out=ws.xabs)
+        np.maximum.reduce(ws.xabs_blocks, axis=2, out=ws.scale_bg)
+        np.maximum(ws.scale_bg, 1e-12, out=ws.scale_bg)
+        if plan.row_block is not None:
+            np.take(ws.x_blocks, plan.row_block, axis=0, out=ws.xt)
+            np.take(ws.scale_bg.T, plan.row_block, axis=0, out=ws.scale_t)
+        ws.out = out
+        if traced:
+            for name, stage in plan.stages:
+                with trace_span(name):
+                    stage(plan, ws)
+        else:
+            for _, stage in plan.stages:
+                stage(plan, ws)
+        ws.out = None
+
+
 class TileEngine:
     """Executes a :class:`CrossbarBank`'s VMM through a chosen backend.
 
     The engine owns the stacked mirrors (:class:`TileStacks`), the
-    batched pass's plan (:class:`_VmmPlan`) and one scratch workspace;
+    batched pass's plan (:class:`_VmmPlan`), one scratch workspace and
+    the :class:`_Runner` bound to it;
     the bank's :class:`CrossbarTile` objects stay authoritative for
     programming physics and for the ``"loop"`` reference backend.  Bank
     methods that mutate tile state (RSA assignment, SRAM weight updates,
@@ -801,10 +844,11 @@ class TileEngine:
             backend if backend is not None else bank.config.backend)
         self._stacks: TileStacks | None = None
         # Fused-pass state, lazily built and reused across calls: the
-        # plan (stage list, extents, RNG layout) and the workspace of
-        # the last call's batch size.
+        # plan (stage list, extents, RNG layout), and the workspace and
+        # runner of the last call's batch size.
         self._plan: _VmmPlan | None = None
         self._workspace: _Workspace | None = None
+        self._runner: _Runner | None = None
         self._traced = False
 
     # ------------------------------------------------------------------
@@ -878,7 +922,8 @@ class TileEngine:
         scratch = (plan.sram, plan.adc)
         plan.sync(st)
         if (plan.sram, plan.adc) != scratch:
-            self._workspace = None  # the SRAM product and ADC need scratch
+            # The SRAM product and the ADC need scratch.
+            self._runner = self._workspace = None
 
     def set_backend(self, backend: str | None) -> None:
         """Re-resolve the execution backend (None → env/default)."""
@@ -893,13 +938,26 @@ class TileEngine:
             self._plan = _VmmPlan(self)
         return self._plan
 
-    def workspace(self, batch: int) -> _Workspace:
-        """Scratch for ``batch`` rows; another size drops the old
-        workspace before the new one is built, so a bank never holds two."""
-        if self._workspace is None or self._workspace.batch != batch:
-            self._workspace = None
-            self._workspace = _Workspace(self.plan(), batch)
-        return self._workspace
+    def runner(self, batch: int) -> _Runner:
+        """The fused pass for ``batch`` true rows, bound to the workspace.
+
+        The engine keeps the runner of its last call's batch and one
+        workspace.  Another batch builds a new runner; another kernel
+        batch also drops the old workspace before the new one is built,
+        so a bank never holds two.  Single-row calls run at the canonical
+        kernel batch of ``_MIN_KERNEL_BATCH`` (a zero row appended), so
+        BLAS never takes the one-row fast path whose accumulation order
+        differs from the stacked gemm path.
+        """
+        if self._runner is None or self._runner.batch != batch:
+            self._runner = None
+            kernel_batch = max(batch, _MIN_KERNEL_BATCH)
+            ws = self._workspace
+            if ws is None or ws.batch != kernel_batch:
+                self._workspace = ws = None
+                ws = self._workspace = _Workspace(self.plan(), kernel_batch)
+            self._runner = _Runner(self.plan(), ws, batch)
+        return self._runner
 
     # ------------------------------------------------------------------
     # Whole-matrix views (vectorized assembly from the stacks)
@@ -977,7 +1035,8 @@ def _execute_loop(engine: TileEngine, x: np.ndarray) -> np.ndarray:
 def _execute_batched(engine: TileEngine, x: np.ndarray) -> np.ndarray:
     """Fused vectorized backend: one stacked pass over every tile.
 
-    Runs the bank's :class:`_VmmPlan`: the stages its design point
+    Runs the bank's :class:`_VmmPlan` through the engine's
+    :class:`_Runner` into a fresh array: the stages its design point
     enables, each over whole zero-padded ``(tiles, batch, size)``
     stacks, through the engine's :class:`_Workspace`, which is reused
     while the batch size repeats.
@@ -986,25 +1045,13 @@ def _execute_batched(engine: TileEngine, x: np.ndarray) -> np.ndarray:
     order the loop backend consumes them, so both backends see
     identical noise.  The DAC scale is **per sample**: each batch row is
     normalized to its own magnitude, so a row's result is
-    bitwise-independent of what else shares the batch.
-
-    Single-row calls execute at the canonical kernel batch of
-    ``_MIN_KERNEL_BATCH`` (one zero row appended) so BLAS never takes
-    the one-row fast path whose accumulation order differs from the
-    stacked gemm path.  Traced and untraced calls run the same stage
-    list; tracing only wraps each stage in its ``vmm.<stage>`` span.
+    bitwise-independent of what else shares the batch.  Traced and
+    untraced calls run the same stage list; tracing only wraps each
+    stage in its ``vmm.<stage>`` span.
     """
-    plan = engine.plan()
-    ws = engine.workspace(max(x.shape[0], _MIN_KERNEL_BATCH))
-    plan.load(ws, x)
-    if engine._traced:
-        for name, stage in plan.stages:
-            with trace_span(name):
-                stage(plan, ws)
-    else:
-        for _, stage in plan.stages:
-            stage(plan, ws)
-    return ws.out
+    out = np.empty((x.shape[0], engine.shape[1]))
+    engine.runner(x.shape[0])(x, out, engine._traced)
+    return out
 
 
 BACKENDS: dict[str, Callable[[TileEngine, np.ndarray], np.ndarray]] = {

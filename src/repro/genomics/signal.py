@@ -100,10 +100,19 @@ def _ou_process(length: int, sigma: float, tau: float,
 
 
 def normalize_signal(signal: np.ndarray) -> np.ndarray:
-    """Med/MAD normalization (the standard ONT basecaller front end)."""
+    """Med/MAD normalization (the standard ONT basecaller front end).
+
+    A MAD is degenerate when the largest deviation divided by
+    ``1.4826·mad`` is not finite: zero, or so small (subnormal or just
+    tiny) that the quotient overflows.  The signal is then scaled as if
+    the MAD were 1.
+    """
     signal = np.asarray(signal, dtype=np.float64)
-    med = np.median(signal)
-    mad = np.median(np.abs(signal - med))
-    if mad == 0.0:
-        mad = 1.0
-    return (signal - med) / (1.4826 * mad)
+    deviation = signal - np.median(signal)
+    scale = 1.4826 * np.median(np.abs(deviation))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # swd-ok: SWD005 -- the zero MAD is one of the cases probed here
+        peak = np.max(np.abs(deviation), initial=0.0) / scale
+    if not np.isfinite(peak):
+        scale = 1.4826
+    return deviation / scale

@@ -17,7 +17,6 @@ Conventions
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -34,15 +33,25 @@ __all__ = [
     "Dropout",
     "ReLU",
     "Swish",
+    "per_call_step",
 ]
 
 # A matmul hook takes (inputs, weights, slot) as plain arrays plus the
 # index of the weight matrix within the layer (LSTMs own two); the
-# Swordfish deployment path substitutes a crossbar VMM here.  A hook
-# with a ``check(outputs, slot)`` method checks each output unless
-# called with ``check=False``; the LSTM recurrence does that per step
-# and checks the stacked outputs once per forward.
+# Swordfish deployment path substitutes a crossbar VMM here.  An LSTM
+# runs its recurrence through ``hook.bind(weights, slot, batch)`` when
+# the hook has it, else through :func:`per_call_step`; a hook with a
+# ``check(outputs, slot)`` method sees the recurrent outputs stacked,
+# once per forward.
 MatmulHook = Callable[[np.ndarray, np.ndarray, int], np.ndarray]
+
+
+def per_call_step(hook: MatmulHook, weights: np.ndarray, slot: int):
+    """A recurrent step ``step(inputs, out)`` that calls ``hook`` once
+    per step and copies its product into ``out``."""
+    def step(inputs: np.ndarray, out: np.ndarray) -> None:
+        out[...] = hook(inputs, weights, slot)
+    return step
 
 
 class Linear(Module):
@@ -218,47 +227,60 @@ class LSTM(Module):
         """Forward pass with matmuls routed through ``matmul_hook``.
 
         Pure-NumPy (no tape); used only for crossbar-deployed inference.
-        A checking hook's per-step recurrent outputs are kept raw and
-        checked once, stacked, after the last step.
+        The recurrence runs through one step bound per forward (see
+        ``MatmulHook``) that writes each product into a ``(time, batch,
+        4·hidden)`` buffer; a hook that checks sees that buffer once,
+        after the last step.  The gate math writes into buffers
+        allocated once per forward.
         """
         batch, time, _ = x.shape
         hidden = self.hidden_size
         hook = self.matmul_hook
         assert hook is not None
-        check = getattr(hook, "check", None)
-        step = hook if check is None else partial(hook, check=False)
-        h = np.zeros((batch, hidden))
-        c = np.zeros((batch, hidden))
+        weight_hh = self.weight_hh.data
+        bind = getattr(hook, "bind", None)
+        step = (bind(weight_hh, 1, batch) if bind is not None
+                else per_call_step(hook, weight_hh, 1))
         x_proj = hook(x.reshape(-1, self.input_size), self.weight_ih.data, 0)
-        x_proj = x_proj.reshape(batch, time, 4 * hidden) + self.bias.data
-        steps = range(time - 1, -1, -1) if self.reverse else range(time)
-        out = np.empty((batch, time, hidden))
+        x_proj = np.add(x_proj.reshape(batch, time, 4 * hidden)
+                        .transpose(1, 0, 2), self.bias.data,
+                        order="C")                       # (time, batch, 4H)
         recurrent = np.empty((time, batch, 4 * hidden))
-        for t in steps:
-            raw = step(h, self.weight_hh.data, 1)
-            recurrent[t] = raw
-            gates = x_proj[:, t, :] + raw
+        out = np.empty((time, batch, hidden))
+        gates = np.empty((batch, 4 * hidden))
+        g_gates = gates[:, 2 * hidden:3 * hidden]
+        act = np.empty((batch, 4 * hidden))
+        i = act[:, :hidden]
+        f = act[:, hidden:2 * hidden]
+        o = act[:, 3 * hidden:]
+        g = np.empty((batch, hidden))
+        c = np.zeros((batch, hidden))
+        tanh_c = np.empty((batch, hidden))
+        h = np.zeros((batch, hidden))
+        for t in (range(time - 1, -1, -1) if self.reverse else range(time)):
+            raw = recurrent[t]
+            step(h, raw)
+            np.add(x_proj[t], raw, out=gates)
             # One elementwise sigmoid over the whole gate block (its g
             # columns go unused), sliced into i, f and o.
-            act = _sigmoid(gates)
-            i = act[:, :hidden]
-            f = act[:, hidden:2 * hidden]
-            g = np.tanh(gates[:, 2 * hidden:3 * hidden])
-            o = act[:, 3 * hidden:]
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            out[:, t, :] = h
+            np.negative(gates, out=act)
+            np.exp(act, out=act)
+            np.add(1.0, act, out=act)
+            np.divide(1.0, act, out=act)
+            np.tanh(g_gates, out=g)
+            np.multiply(f, c, out=c)
+            np.multiply(i, g, out=g)
+            np.add(c, g, out=c)                          # f*c + i*g
+            np.tanh(c, out=tanh_c)
+            h = np.multiply(o, tanh_c, out=out[t])
+        check = getattr(hook, "check", None)
         if check is not None:
             check(recurrent, 1)
-        return out
+        return out.transpose(1, 0, 2).copy()
 
     def __repr__(self) -> str:
         direction = "<-" if self.reverse else "->"
         return f"LSTM({self.input_size}, {self.hidden_size}, {direction})"
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 class BatchNorm1d(Module):

@@ -9,6 +9,7 @@ the backend nor the tile evaluation order changes the noise.
 """
 
 import gc
+import hashlib
 import weakref
 
 import numpy as np
@@ -515,6 +516,123 @@ class TestDeployedEquivalence:
 
 
 # ----------------------------------------------------------------------
+# Bound recurrent steps
+# ----------------------------------------------------------------------
+
+def _digest(logits: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(logits).tobytes()).hexdigest()
+
+
+#: ``(bundle, crossbar size, case)``: every bundle at both sizes, then
+#: forwards after RSA, reprogramming and aging, a B = 2 forward followed
+#: by a B = 1 forward, a ``loop`` deployment and a traced forward.
+BOUND_CASES = ([(bundle, size, "batches") for bundle in sorted(BUNDLES)
+                for size in (64, 256)]
+               + [("combined", 64, "mutated"), ("measured", 256, "mutated"),
+                  ("combined", 64, "shrink"), ("combined", 64, "loop"),
+                  ("write_only", 64, "traced")])
+
+
+class TestBoundRecurrence:
+    """An LSTM whose hook binds its ``hh`` bank once per forward (the
+    engine's runner writing straight into the recurrence's buffer) gives
+    the logits, bit for bit, of a forward whose hook has no binder and so
+    calls ``bank.vmm`` per step.  The default model's two LSTMs run in
+    both directions."""
+
+    SIGNALS = np.random.default_rng(21).standard_normal((3, 64))
+
+    @staticmethod
+    def _deploy(bundle, size, backend=None):
+        from repro.basecaller import BonitoConfig, BonitoModel
+        from repro.core import deploy
+
+        model = BonitoModel(BonitoConfig())
+        model.eval()
+        return deploy(model, get_bundle(bundle), crossbar_size=size,
+                      seed=3, backend=backend)
+
+    @staticmethod
+    def _forward(deployed, signals, snapshot, bound=True):
+        """Logits from the RNG epoch ``snapshot``; ``bound=False`` runs
+        the hook without its binder."""
+        from repro import nn
+
+        deployed.rng_restore(snapshot)
+        if not bound:
+            deployed.model.set_matmul_hook(deployed._matmul,
+                                           check=deployed._check)
+        try:
+            with nn.no_grad():
+                return deployed.model(nn.Tensor(signals)).data
+        finally:
+            deployed.attach()
+
+    @pytest.mark.parametrize("bundle,size,case", BOUND_CASES,
+                             ids=[f"{b}@{s}-{c}" for b, s, c in BOUND_CASES])
+    def test_bound_step_equals_per_call_step(self, bundle, size, case,
+                                             monkeypatch):
+        from repro.observability import ENV_TRACE, ENV_TRACE_FILE, get_tracer
+
+        deployed = self._deploy(bundle, size,
+                                "loop" if case == "loop" else None)
+        try:
+            if case == "mutated":
+                deployed.assign_sram(0.05)
+                deployed.reprogram()
+                drift = DriftConfig(relaxation_per_decade=0.05)
+                for banks in deployed.banks.values():
+                    for bank in banks:
+                        bank.age(3600.0, drift)
+            snapshot = deployed.rng_snapshot()
+            for batch in (1, 2, 3):
+                signals = self.SIGNALS[:batch]
+                bound = self._forward(deployed, signals, snapshot)
+                per_call = self._forward(deployed, signals, snapshot,
+                                         bound=False)
+                assert _digest(bound) == _digest(per_call), batch
+
+            if case == "shrink":
+                # A B = 1 runner after a B = 2 one zeroes the row the
+                # larger batch left behind.
+                self._forward(deployed, self.SIGNALS[:2], snapshot)
+                shrunk = self._forward(deployed, self.SIGNALS[:1], snapshot)
+                fresh = self._deploy(bundle, size)
+                first = self._forward(fresh, self.SIGNALS[:1],
+                                      fresh.rng_snapshot())
+                fresh.release()
+                assert _digest(shrunk) == _digest(first)
+            elif case == "loop":
+                # The reference backend pins what the runner computes.
+                batched = self._deploy(bundle, size)
+                reference = self._forward(batched, self.SIGNALS,
+                                          batched.rng_snapshot())
+                batched.release()
+                np.testing.assert_allclose(
+                    bound, reference, rtol=0.0, atol=1e-8)
+            elif case == "traced":
+                # Traced steps go through ``bank.vmm``: one ``vmm`` span
+                # per recurrent step, and the same logits.
+                monkeypatch.delenv(ENV_TRACE_FILE, raising=False)
+                monkeypatch.setenv(ENV_TRACE, "1")
+                tracer = get_tracer()
+                tracer.drain()
+                traced = self._forward(deployed, self.SIGNALS[:1], snapshot)
+                events = tracer.drain()
+                monkeypatch.delenv(ENV_TRACE)
+                untraced = self._forward(deployed, self.SIGNALS[:1],
+                                         snapshot)
+                assert _digest(traced) == _digest(untraced)
+                frames = traced.shape[1]
+                for layer in ("lstm0", "lstm1"):
+                    steps = [e for e in events if e["name"] == "vmm"
+                             and e["bank"] == layer and e["batch"] == 1]
+                    assert len(steps) == frames, layer
+        finally:
+            deployed.release()
+
+
+# ----------------------------------------------------------------------
 # Deployment lifetime
 # ----------------------------------------------------------------------
 
@@ -540,7 +658,8 @@ class TestDeploymentLifetime:
                 for bank in banks:
                     engine = bank.engine
                     refs.extend(weakref.ref(obj) for obj in (
-                        bank, engine, engine._plan, engine._workspace)
+                        bank, engine, engine._plan, engine._workspace,
+                        engine._runner)
                         if obj is not None)
 
         enabled = gc.isenabled()

@@ -1,6 +1,7 @@
 """Tests for the genomics substrate (genome, pore model, signal, reads)."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,20 @@ class TestSignal:
     def test_normalize_constant_signal(self):
         out = g.normalize_signal(np.full(10, 5.0))
         assert np.allclose(out, 0.0)
+
+    @pytest.mark.parametrize("values", [
+        [0.0, 1e-323, 2e-323, 1.0, -1.0],      # subnormal MAD
+        [0.0, 0.0, 3e-308, 1e3, -1e3],         # normal MAD, still tiny
+    ], ids=["subnormal-mad", "tiny-normal-mad"])
+    def test_normalize_tiny_mad_does_not_overflow(self, values):
+        """A MAD the largest deviation overflows against is degenerate,
+        like a zero MAD: the signal is scaled as if the MAD were 1."""
+        signal = np.array(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = g.normalize_signal(signal)
+        assert np.isfinite(out).all()
+        assert np.array_equal(out, (signal - np.median(signal)) / 1.4826)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

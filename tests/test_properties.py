@@ -114,6 +114,7 @@ class TestGenomicsProperties:
     def test_normalize_signal_median_zero(self, values):
         out = normalize_signal(np.asarray(values))
         assert abs(np.median(out)) < 1e-9
+        assert np.isfinite(out).all()
 
 
 class TestDeviceProperties:

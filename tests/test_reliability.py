@@ -266,18 +266,23 @@ class TestHealthMonitor:
         from repro.core import deploy, get_bundle
 
         deployed = deploy(tiny_model, get_bundle("ideal"), seed=0)
-        bank = deployed.banks["lstm0"][1]
-        vmm = bank.vmm
+        bind = deployed._bind
         calls = []
 
-        def poisoned(inputs):
-            out = vmm(inputs)
-            calls.append(out.shape)
-            if len(calls) == 3:
-                out[:] = bad
-            return out
+        def poisoned_bind(weights, layer_name, slot, batch):
+            step = bind(weights, layer_name, slot, batch)
+            if (layer_name, slot) != ("lstm0", 1):
+                return step
 
-        bank.vmm = poisoned
+            def poisoned(inputs, out):
+                step(inputs, out)
+                calls.append(out.shape)
+                if len(calls) == 3:
+                    out[:] = bad
+            return poisoned
+
+        deployed._bind = poisoned_bind
+        deployed.attach()
         signal = nn.Tensor(rng.standard_normal((1, 192)))
         try:
             deployed.health = None
@@ -290,6 +295,7 @@ class TestHealthMonitor:
                     tiny_model(signal)
         finally:
             deployed.release()
+        assert len(calls) > 3
         assert err.value.metric == "vmm:lstm0[1]"
 
 
